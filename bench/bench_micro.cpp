@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "json/json.hpp"
 #include "metrics/query.hpp"
 #include "proxy/proxy.hpp"
+#include "proxy/session_table.hpp"
 #include "util/rng.hpp"
 #include "util/uuid.hpp"
 
@@ -48,10 +50,9 @@ void BM_RoutingDecision_CookieRandom(benchmark::State& state) {
   const proxy::ProxyConfig config = cookie_config(false);
   http::Request request;
   util::Rng rng(1);
-  const std::unordered_map<std::string, std::string> sticky;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        proxy::BifrostProxy::decide_backend(config, request, "", sticky, rng));
+    benchmark::DoNotOptimize(proxy::BifrostProxy::decide_backend(
+        config, request, std::nullopt, rng));
   }
 }
 BENCHMARK(BM_RoutingDecision_CookieRandom);
@@ -60,18 +61,23 @@ void BM_RoutingDecision_CookieSticky(benchmark::State& state) {
   const proxy::ProxyConfig config = cookie_config(true);
   http::Request request;
   util::Rng rng(1);
-  // Sticky table of the given size; lookups hit.
-  std::unordered_map<std::string, std::string> sticky;
+  // The proxy's own session table, sized as the proxy sizes it, holding
+  // the given number of sessions; lookups hit. Each iteration is what
+  // handle_data does for a returning user: touch, then decide.
+  const proxy::BifrostProxy::Options defaults;
+  proxy::SessionTable sessions(defaults.session_shards,
+                               defaults.max_sticky_sessions);
   const auto entries = static_cast<std::size_t>(state.range(0));
   std::vector<std::string> ids;
   for (std::size_t i = 0; i < entries; ++i) {
     ids.push_back(util::uuid4_from(i));
-    sticky[ids.back()] = i % 2 == 0 ? "stable" : "canary";
+    sessions.assign(ids.back(), i % 2 == 0 ? "stable" : "canary");
   }
   std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(proxy::BifrostProxy::decide_backend(
-        config, request, ids[next++ % ids.size()], sticky, rng));
+    const auto pinned = sessions.touch(ids[next++ % ids.size()]);
+    benchmark::DoNotOptimize(
+        proxy::BifrostProxy::decide_backend(config, request, pinned, rng));
   }
 }
 // Setup cost (building the sticky table) dominates the big range
@@ -90,10 +96,9 @@ void BM_RoutingDecision_Header(benchmark::State& state) {
   http::Request request;
   request.headers.set("X-Group", "B");
   util::Rng rng(1);
-  const std::unordered_map<std::string, std::string> sticky;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        proxy::BifrostProxy::decide_backend(config, request, "", sticky, rng));
+    benchmark::DoNotOptimize(proxy::BifrostProxy::decide_backend(
+        config, request, std::nullopt, rng));
   }
 }
 BENCHMARK(BM_RoutingDecision_Header);

@@ -363,8 +363,7 @@ void Reactor::conn_readable(Worker& worker, Conn& conn) {
     if (worker.conns.find(id) == worker.conns.end()) return;
   }
   if (conn.peer_closed && !conn.suspended && conn.out.empty()) {
-    // EOF with no response owed (a half-request is abandoned, like the
-    // legacy server's "connection closed" path).
+    // EOF with no response owed: a half-sent request is abandoned.
     close_conn(worker, id);
   }
 }

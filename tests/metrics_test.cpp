@@ -377,10 +377,10 @@ TEST(Histogram, AllOverflowFillReturnsTopBound) {
 
 TEST(Histogram, ConcurrentObserversLoseNothing) {
   Histogram histogram;
-  constexpr int kThreads = 8;
+  constexpr int kObservers = 8;
   constexpr int kPerThread = 20000;
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
+  for (int t = 0; t < kObservers; ++t) {
     threads.emplace_back([&histogram, t] {
       for (int i = 0; i < kPerThread; ++i) {
         histogram.observe(0.5 + t + i % 10);
@@ -389,7 +389,7 @@ TEST(Histogram, ConcurrentObserversLoseNothing) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(histogram.count(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
+            static_cast<std::uint64_t>(kObservers) * kPerThread);
 }
 
 TEST(Registry, HistogramExposition) {

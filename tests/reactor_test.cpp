@@ -126,7 +126,6 @@ TEST(ReactorTest, MultipleWorkersShareOnePort) {
 }
 
 TEST(ReactorTest, SuspendCompleteMarshalsBackFromForeignThread) {
-  Reactor* raw = nullptr;
   std::mutex mutex;
   std::vector<Reactor::ConnId> pending;
   Reactor reactor(Reactor::Options{},
@@ -139,7 +138,6 @@ TEST(ReactorTest, SuspendCompleteMarshalsBackFromForeignThread) {
                     pending.push_back(id);
                     return Reactor::Verdict::kSuspend;
                   });
-  raw = &reactor;
   ASSERT_TRUE(reactor.start().ok());
   auto stream = TcpStream::connect("127.0.0.1", reactor.port());
   ASSERT_TRUE(stream.ok());
@@ -177,7 +175,6 @@ TEST(ReactorTest, SuspendCompleteMarshalsBackFromForeignThread) {
 }
 
 TEST(ReactorTest, CompleteOnClosedConnectionIsSafeNoOp) {
-  Reactor* raw = nullptr;
   std::atomic<Reactor::ConnId> seen{0};
   Reactor reactor(Reactor::Options{},
                   [&](Reactor::ConnId id, std::string& input) {
@@ -185,7 +182,6 @@ TEST(ReactorTest, CompleteOnClosedConnectionIsSafeNoOp) {
                     seen = id;
                     return Reactor::Verdict::kSuspend;
                   });
-  raw = &reactor;
   ASSERT_TRUE(reactor.start().ok());
   {
     auto stream = TcpStream::connect("127.0.0.1", reactor.port());
@@ -227,7 +223,6 @@ TEST(ReactorTest, IdleConnectionsSweptAfterTimeout) {
 }
 
 TEST(ReactorTest, DrainFlushesSuspendedThenCloses) {
-  Reactor* raw = nullptr;
   std::atomic<Reactor::ConnId> seen{0};
   Reactor reactor(Reactor::Options{},
                   [&](Reactor::ConnId id, std::string& input) {
@@ -235,7 +230,6 @@ TEST(ReactorTest, DrainFlushesSuspendedThenCloses) {
                     seen = id;
                     return Reactor::Verdict::kSuspend;
                   });
-  raw = &reactor;
   ASSERT_TRUE(reactor.start().ok());
   auto stream = TcpStream::connect("127.0.0.1", reactor.port());
   ASSERT_TRUE(stream.ok());
