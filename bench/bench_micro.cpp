@@ -5,7 +5,8 @@
 //  * sticky-session table scaling,
 //  * shadow fan-out bookkeeping,
 //  * DSL/YAML compile cost vs strategy size,
-//  * PromQL-subset parse + evaluate cost vs store size,
+//  * PromQL-subset parse + evaluate cost vs store size, and a whole
+//    query request with no `time` (the provider's default "now"),
 //  * automaton-step (threshold mapping + weighted outcome) cost,
 //  * HTTP head parsing and JSON round trips on the control plane.
 #include <benchmark/benchmark.h>
@@ -23,6 +24,7 @@
 #include "http/parser.hpp"
 #include "json/json.hpp"
 #include "metrics/query.hpp"
+#include "metrics/server.hpp"
 #include "proxy/proxy.hpp"
 #include "proxy/session_table.hpp"
 #include "util/rng.hpp"
@@ -239,6 +241,26 @@ void BM_QueryEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueryEvaluate)->Arg(1)->Arg(16)->Arg(128);
+
+// One /api/v1/query request with no `time=`, handled without a socket:
+// the provider first finds the newest sample over all series, then
+// evaluates. Every series shares one name, so a selector has to compare
+// label maps; the cost should grow linearly with the series count.
+void BM_MetricsServerQuery_DefaultTime(benchmark::State& state) {
+  metrics::TimeSeriesStore store;
+  const auto series = static_cast<int>(state.range(0));
+  for (int s = 0; s < series; ++s) {
+    const metrics::Labels labels{{"check", "c" + std::to_string(s)}};
+    for (int t = 0; t < 4; ++t) store.record("bench_check", labels, t, 1.0);
+  }
+  metrics::MetricsServer server(store);
+  http::Request request;
+  request.target = "/api/v1/query?query=bench_check%7Bcheck%3D%22c0%22%7D";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(server.handle(request));
+  }
+}
+BENCHMARK(BM_MetricsServerQuery_DefaultTime)->Arg(30)->Arg(300)->Arg(3000);
 
 // ---------------------------------------------------------------------------
 // Automaton semantics

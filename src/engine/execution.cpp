@@ -102,6 +102,11 @@ StrategyExecution::~StrategyExecution() {
   for (const runtime::TimerId id : live_timers_) scheduler_.cancel(id);
 }
 
+std::size_t StrategyExecution::live_timers() const {
+  const std::lock_guard<std::mutex> lock(timers_mutex_);
+  return live_timers_.size();
+}
+
 double StrategyExecution::now_seconds() const {
   return std::chrono::duration<double>(scheduler_.now()).count();
 }
@@ -114,7 +119,13 @@ void StrategyExecution::arm_at(runtime::Time when,
                                std::function<void()> body) {
   // The callback needs its own id to deregister itself, but the id only
   // exists after schedule_at returns — hand it over through a token.
+  // The lock spans schedule_at and the insert: a timer armed from a
+  // foreign thread that is already due can fire before schedule_at
+  // returns, and its callback must wait for the id rather than erase
+  // kInvalidTimer and leave the id inserted after it live forever.
+  // Lock order as in the destructor: timers_mutex_, then the scheduler's.
   auto token = std::make_shared<runtime::TimerId>(runtime::kInvalidTimer);
+  const std::lock_guard<std::mutex> lock(timers_mutex_);
   const runtime::TimerId id = scheduler_.schedule_at(
       when, [this, token, body = std::move(body)] {
         {
@@ -123,11 +134,8 @@ void StrategyExecution::arm_at(runtime::Time when,
         }
         body();
       });
-  {
-    const std::lock_guard<std::mutex> lock(timers_mutex_);
-    *token = id;
-    live_timers_.insert(id);
-  }
+  *token = id;
+  live_timers_.insert(id);
 }
 
 void StrategyExecution::emit(StatusEvent::Type type, const std::string& state,

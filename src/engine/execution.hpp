@@ -206,6 +206,10 @@ class StrategyExecution {
     return checks_executed_;
   }
 
+  /// Timers armed and neither fired nor cancelled yet. Thread-safe; 0
+  /// once every timer of a run has fired.
+  [[nodiscard]] std::size_t live_timers() const;
+
  private:
   struct CheckRuntime {
     const core::CheckDef* def = nullptr;
@@ -313,7 +317,7 @@ class StrategyExecution {
   /// Timers armed but not yet fired; guarded by timers_mutex_ because
   /// request_start()/request_abort() arm from foreign threads (and
   /// check-evaluation jobs arm their marshalling timers from workers).
-  std::mutex timers_mutex_;
+  mutable std::mutex timers_mutex_;
   std::unordered_set<runtime::TimerId> live_timers_;
 
   /// Lifetime guard shared with in-flight check-evaluation jobs: a job

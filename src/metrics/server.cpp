@@ -45,15 +45,9 @@ http::Response MetricsServer::handle(const http::Request& request) {
       at_time = *util::parse_double(*t);
     } else {
       // Default: "now" on the wall clock shared with producers' schedulers
-      // is unknowable here, so use the newest sample time in the store.
-      at_time = 0.0;
-      for (const SeriesKey& key : store_.series()) {
-        const auto instant = store_.instant(Selector{key.name, key.labels},
-                                            1e18, /*lookback=*/1e18);
-        for (const auto& [k, sample] : instant) {
-          at_time = std::max(at_time, sample.time);
-        }
-      }
+      // is unknowable here, so use the newest sample over all series (0 if
+      // none), found in one pass over the store.
+      at_time = store_.newest_sample_time();
     }
     const QueryResult result = evaluate(store_, expr.value(), at_time);
     return http::Response::json(

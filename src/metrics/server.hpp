@@ -24,9 +24,11 @@ class MetricsServer {
   void stop();
   [[nodiscard]] std::uint16_t port() const;
 
- private:
+  /// Answers one request; the HTTP server calls this from its handler
+  /// threads. Public so the endpoints can be driven without a socket.
   http::Response handle(const http::Request& request);
 
+ private:
   TimeSeriesStore& store_;
   std::unique_ptr<http::HttpServer> server_;
 };

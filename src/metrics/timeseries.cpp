@@ -72,6 +72,19 @@ std::vector<std::pair<SeriesKey, std::vector<Sample>>> TimeSeriesStore::range(
   return out;
 }
 
+double TimeSeriesStore::newest_sample_time() const {
+  // Same back-to-front pick as instant(): per series, the last-appended
+  // sample at or before 1e18, not the largest time in the series.
+  const auto in_horizon = [](const Sample& s) { return s.time <= 1e18; };
+  double newest = 0.0;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [key, samples] : series_) {
+    const auto it = std::find_if(samples.rbegin(), samples.rend(), in_horizon);
+    if (it != samples.rend()) newest = std::max(newest, it->time);
+  }
+  return newest;
+}
+
 std::vector<SeriesKey> TimeSeriesStore::series() const {
   std::vector<SeriesKey> out;
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -56,6 +56,13 @@ class TimeSeriesStore {
   [[nodiscard]] std::vector<std::pair<SeriesKey, std::vector<Sample>>> range(
       const Selector& selector, double at_time, double window) const;
 
+  /// Time of the newest sample in the store, in one pass under one lock:
+  /// the max of 0 and, for each series, the time of its last-appended
+  /// sample at or before 1e18 (so 0 when there is none). This is what
+  /// instant() at 1e18 with a 1e18 lookback reports over every series,
+  /// and it is the query endpoint's default evaluation time.
+  [[nodiscard]] double newest_sample_time() const;
+
   [[nodiscard]] std::vector<SeriesKey> series() const;
   [[nodiscard]] std::size_t series_count() const;
   [[nodiscard]] std::size_t sample_count() const;

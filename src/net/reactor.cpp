@@ -250,6 +250,19 @@ void Reactor::worker_loop(Worker& worker) {
     }
     if (!running_.load()) return;
 
+    // Consume the wake-up before taking the posted queue: a post() that
+    // lands after the swap below then leaves the eventfd readable for the
+    // next epoll_wait. Draining after the swap would eat its signal and
+    // strand its task until unrelated traffic or the timeout.
+    for (int i = 0; i < std::max(n, 0); ++i) {
+      if (events[static_cast<std::size_t>(i)].data.u64 == kEventTag) {
+        std::uint64_t drained = 0;
+        while (::read(worker.event_fd, &drained, sizeof drained) > 0) {
+        }
+        break;
+      }
+    }
+
     // Cross-thread work first: completions re-arm connections before
     // their events are examined.
     std::vector<std::function<void()>> posted;
@@ -265,12 +278,7 @@ void Reactor::worker_loop(Worker& worker) {
         accept_ready(worker);
         continue;
       }
-      if (ev.data.u64 == kEventTag) {
-        std::uint64_t drained = 0;
-        while (::read(worker.event_fd, &drained, sizeof drained) > 0) {
-        }
-        continue;
-      }
+      if (ev.data.u64 == kEventTag) continue;  // drained above
       const auto it = worker.conns.find(ev.data.u64);
       if (it == worker.conns.end()) continue;  // closed earlier this batch
       Conn& conn = *it->second;

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "http/client.hpp"
 #include "http/url.hpp"
+#include "json/json.hpp"
 #include "metrics/query.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/scraper.hpp"
@@ -83,6 +87,72 @@ TEST(TimeSeriesStore, SeriesEnumeration) {
   EXPECT_EQ(store.series_count(), 2u);
   store.clear();
   EXPECT_EQ(store.series_count(), 0u);
+}
+
+// The query endpoint's default time as it was computed before
+// newest_sample_time() existed: one instant() per series key at a 1e18
+// horizon and a 1e18 lookback, maxed from 0. Kept here as the reference
+// the one-pass lookup must reproduce.
+double newest_by_series_scan(const TimeSeriesStore& store) {
+  double newest = 0.0;
+  for (const SeriesKey& key : store.series()) {
+    const auto hits = store.instant(Selector{key.name, key.labels}, 1e18, 1e18);
+    for (const auto& [matched, sample] : hits) {
+      newest = std::max(newest, sample.time);
+    }
+  }
+  return newest;
+}
+
+// Differential test: over seeded random sequences of records (in and out
+// of order, negative, NaN, infinite, at and beyond the 1e18 horizon),
+// compactions and clears, the one-pass lookup equals the per-series scan
+// after every operation.
+TEST(TimeSeriesStore, NewestSampleTimeMatchesSeriesScan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    TimeSeriesStore store;
+    util::Rng rng(seed);
+    const int ops = static_cast<int>(rng.uniform_int(1, 200));
+    for (int op = 0; op < ops; ++op) {
+      const auto kind = rng.uniform_int(0, 99);
+      if (kind < 2) {
+        store.clear();
+      } else if (kind < 8) {
+        store.compact(rng.uniform() * 120.0 - 20.0);
+      } else {
+        double time = 0.0;
+        switch (rng.uniform_int(0, 9)) {
+          case 0:
+            time = -rng.uniform() * 50.0;
+            break;
+          case 1:
+            time = nan;
+            break;
+          case 2:  // beyond the horizon
+            time = 1e18 * (1.0 + rng.uniform());
+            break;
+          case 3:
+            time = rng.bernoulli(0.5) ? inf : -inf;
+            break;
+          case 4:  // at the horizon
+            time = 1e18;
+            break;
+          default:  // in and out of order within a series
+            time = rng.uniform() * 100.0;
+            break;
+        }
+        // Overlapping label sets, so one key's selector also matches
+        // the series that extend it.
+        Labels labels{{"i", std::to_string(rng.uniform_int(0, 4))}};
+        if (rng.bernoulli(0.3)) labels["x"] = "1";
+        store.record(rng.bernoulli(0.5) ? "a" : "b", labels, time, 1.0);
+      }
+      ASSERT_EQ(store.newest_sample_time(), newest_by_series_scan(store))
+          << "seed " << seed << " op " << op;
+    }
+  }
 }
 
 TEST(SeriesKey, ToStringCanonical) {
@@ -502,6 +572,57 @@ TEST(MetricsServer, QueryEndpointEvaluatesExpressions) {
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response.value().status, 200);
   EXPECT_NE(response.value().body.find("\"value\":30"), std::string::npos);
+  server.stop();
+}
+
+/// GET /api/v1/query?query=<expr><extra> on `server`; returns the "time"
+/// and "seriesMatched" of the response's data object.
+std::pair<double, double> query_data(const MetricsServer& server,
+                                     const std::string& expr,
+                                     const std::string& extra = "") {
+  http::HttpClient client;
+  auto response = client.get(
+      "http://127.0.0.1:" + std::to_string(server.port()) +
+      "/api/v1/query?query=" + http::url_encode(expr) + extra);
+  EXPECT_TRUE(response.ok());
+  if (!response.ok()) return {-1.0, -1.0};
+  EXPECT_EQ(response.value().status, 200);
+  auto doc = json::parse(response.value().body);
+  EXPECT_TRUE(doc.ok());
+  if (!doc.ok()) return {-1.0, -1.0};
+  const json::Value* data = doc.value().find("data");
+  EXPECT_NE(data, nullptr);
+  if (data == nullptr) return {-1.0, -1.0};
+  return {data->get_number("time", -1.0),
+          data->get_number("seriesMatched", -1.0)};
+}
+
+TEST(MetricsServer, QueryWithoutTimeUsesNewestSample) {
+  TimeSeriesStore store;
+  MetricsServer server(store);
+  server.start();
+  const std::string x = R"(rt{s="x"})";
+  // Empty store.
+  EXPECT_EQ(query_data(server, x), std::make_pair(0.0, 0.0));
+
+  store.record("rt", {{"s", "x"}}, 5.0, 1.0);
+  store.record("rt", {{"s", "y"}}, 9.0, 2.0);
+  store.record("other", {}, 7.0, 3.0);
+  // Newest over every series, not just the ones the query matches.
+  EXPECT_EQ(query_data(server, x), std::make_pair(9.0, 1.0));
+  // An explicit time= still wins.
+  EXPECT_EQ(query_data(server, x, "&time=6"), std::make_pair(6.0, 1.0));
+
+  // x and other lose their samples; y@9 stays.
+  store.compact(8.0);
+  EXPECT_EQ(query_data(server, x), std::make_pair(9.0, 0.0));
+  // Every series remains, none has a sample.
+  store.compact(100.0);
+  EXPECT_EQ(query_data(server, x), std::make_pair(0.0, 0.0));
+  store.record("rt", {{"s", "x"}}, 3.0, 4.0);
+  EXPECT_EQ(query_data(server, x), std::make_pair(3.0, 1.0));
+  store.clear();
+  EXPECT_EQ(query_data(server, x), std::make_pair(0.0, 0.0));
   server.stop();
 }
 

@@ -407,5 +407,43 @@ TEST(ParallelIntegration, EventLoopPlusPoolCompletesStrategy) {
   pool.shutdown();
 }
 
+// Check-pool threads arm each marshalling timer due at once, so the
+// loop can fire it before the arming thread has recorded its id. Once
+// every timer has fired, none may still be tracked as live.
+TEST(ParallelIntegration, ForeignThreadTimersLeaveNoLiveTimers) {
+  runtime::EventLoop loop;
+  loop.start();
+  WorkStealingPool pool(4);
+  ThreadSafeMetrics metrics;
+  NullProxies proxies;
+
+  std::atomic<bool> finished{false};
+  StrategyExecution::Options options;
+  options.check_executor = &pool;
+  StrategyExecution execution(
+      "s-0", loop, metrics, proxies, small_strategy(32, 8, 1ms),
+      [&](const StatusEvent& event) {
+        if (event.type == StatusEvent::Type::kFinished) finished = true;
+      },
+      options);
+  execution.request_start();
+
+  for (int i = 0; i < 2000 && !finished; ++i) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_TRUE(finished.load());
+  pool.wait_idle();
+  for (int i = 0;
+       i < 400 && (loop.pending() > 0 || execution.live_timers() > 0); ++i) {
+    std::this_thread::sleep_for(5ms);
+  }
+  loop.stop();
+
+  EXPECT_EQ(execution.status(), engine::ExecutionStatus::kSucceeded);
+  EXPECT_EQ(execution.checks_executed(), 256u);
+  EXPECT_EQ(execution.live_timers(), 0u);
+  pool.shutdown();
+}
+
 }  // namespace
 }  // namespace bifrost

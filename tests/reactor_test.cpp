@@ -174,6 +174,65 @@ TEST(ReactorTest, SuspendCompleteMarshalsBackFromForeignThread) {
   reactor.stop();
 }
 
+// A burst of completions from a foreign thread must each wake the
+// worker. A post() that lands while the worker runs the previous batch
+// must not have its eventfd signal consumed after the queue was taken:
+// its response would then wait for unrelated traffic on the worker or
+// for the 250 ms epoll timeout.
+TEST(ReactorTest, BackToBackCompletionsAreNeverStranded) {
+  constexpr std::size_t kConns = 16;
+  constexpr int kRounds = 100;
+  std::mutex mutex;
+  std::vector<Reactor::ConnId> pending;
+  Reactor reactor(Reactor::Options{},
+                  [&](Reactor::ConnId id, std::string& input) {
+                    if (input.find('\n') == std::string::npos) {
+                      return Reactor::Verdict::kContinue;
+                    }
+                    input.clear();
+                    const std::lock_guard<std::mutex> lock(mutex);
+                    pending.push_back(id);
+                    return Reactor::Verdict::kSuspend;
+                  });
+  ASSERT_TRUE(reactor.start().ok());
+  std::vector<TcpStream> streams;
+  for (std::size_t i = 0; i < kConns; ++i) {
+    auto stream = TcpStream::connect("127.0.0.1", reactor.port());
+    ASSERT_TRUE(stream.ok());
+    streams.push_back(std::move(stream.value()));
+  }
+
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  for (int round = 0; round < kRounds; ++round) {
+    for (auto& stream : streams) ASSERT_TRUE(stream.write_all("go\n"));
+    for (int i = 0; i < 400 && reactor.suspended_connections() < kConns; ++i) {
+      std::this_thread::sleep_for(1ms);
+    }
+    ASSERT_EQ(reactor.suspended_connections(), kConns);
+    std::vector<Reactor::ConnId> ids;
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ids.swap(pending);
+    }
+    ASSERT_EQ(ids.size(), kConns);
+    // No socket traffic reaches the worker from here on: only the
+    // completions' own wake-ups can get the responses out.
+    const auto begin = std::chrono::steady_clock::now();
+    std::thread completer([&] {
+      for (const Reactor::ConnId id : ids) {
+        reactor.complete(id, {"done\n"}, /*close_after=*/false);
+      }
+    });
+    for (auto& stream : streams) {
+      EXPECT_EQ(read_until(stream, '\n'), "done\n");
+    }
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - begin);
+    completer.join();
+  }
+  EXPECT_LT(slowest, 100ms) << "slowest round took " << slowest / 1ms << " ms";
+  reactor.stop();
+}
+
 TEST(ReactorTest, CompleteOnClosedConnectionIsSafeNoOp) {
   std::atomic<Reactor::ConnId> seen{0};
   Reactor reactor(Reactor::Options{},
