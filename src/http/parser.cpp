@@ -128,6 +128,98 @@ util::Result<std::size_t> parse_chunk_size(std::string_view size_line) {
 
 }  // namespace
 
+namespace {
+
+/// Where a message's body ends in a buffer that starts with its head.
+struct BodyFrame {
+  IncrementalParse::Status status = IncrementalParse::Status::kNeedMore;
+  std::string body;
+  std::size_t end = 0;  ///< one past the last byte of the message
+  std::string error;
+};
+
+/// Frames the body that starts at `pos` by the headers: chunked,
+/// Content-Length, running to EOF (`to_eof`: responses without either;
+/// complete once `at_eof`), or none. Same limits as the stream readers.
+BodyFrame frame_body(std::string_view input, std::size_t pos,
+                     const HeaderMap& headers, bool to_eof, bool at_eof) {
+  BodyFrame frame;
+  const auto fail = [&frame](std::string why) {
+    frame.status = IncrementalParse::Status::kError;
+    frame.error = std::move(why);
+    return frame;
+  };
+  const auto done = [&frame](std::size_t end) {
+    frame.status = IncrementalParse::Status::kDone;
+    frame.end = end;
+    return frame;
+  };
+
+  const auto transfer = headers.get("Transfer-Encoding");
+  if (transfer && util::iequals(*transfer, "chunked")) {
+    while (true) {
+      const std::size_t eol = input.find("\r\n", pos);
+      if (eol == std::string_view::npos) {
+        if (input.size() - pos > 32) return fail("invalid chunk size");
+        return frame;  // kNeedMore: chunk-size line still arriving
+      }
+      auto chunk_len = parse_chunk_size(input.substr(pos, eol - pos));
+      if (!chunk_len.ok()) return fail(chunk_len.error_message());
+      const std::size_t len = chunk_len.value();
+      if (frame.body.size() + len > kMaxBodyBytes) {
+        return fail("body too large");
+      }
+      const std::size_t data_start = eol + 2;
+      // Chunk data plus its trailing CRLF must be fully buffered.
+      if (input.size() < data_start + len + 2) return frame;
+      if (input.substr(data_start + len, 2) != "\r\n") {
+        return fail("missing chunk terminator");
+      }
+      if (len == 0) {
+        return done(data_start + 2);  // no trailers (peers never send them)
+      }
+      frame.body.append(input.substr(data_start, len));
+      pos = data_start + len + 2;
+    }
+  }
+
+  if (const auto length_header = headers.get("Content-Length")) {
+    const auto length = util::parse_int(*length_header);
+    if (!length || *length < 0) return fail("invalid Content-Length");
+    const auto len = static_cast<std::size_t>(*length);
+    if (len > kMaxBodyBytes) return fail("body too large");
+    if (input.size() - pos < len) return frame;  // kNeedMore
+    frame.body = std::string(input.substr(pos, len));
+    return done(pos + len);
+  }
+
+  if (to_eof) {
+    if (input.size() - pos > kMaxBodyBytes) return fail("body too large");
+    if (!at_eof) return frame;  // kNeedMore until the peer closes
+    frame.body = std::string(input.substr(pos));
+    return done(input.size());
+  }
+  return done(pos);
+}
+
+/// Finds the head at the front of `input`: its length through the blank
+/// line, 0 while it is still arriving, or an error past the header limit.
+util::Result<std::size_t> find_head(std::string_view input) {
+  const std::size_t head_end = input.find("\r\n\r\n");
+  if (head_end == std::string_view::npos) {
+    if (input.size() > kMaxHeaderBytes) {
+      return util::Result<std::size_t>::error("header too large");
+    }
+    return std::size_t{0};
+  }
+  if (head_end + 4 > kMaxHeaderBytes) {
+    return util::Result<std::size_t>::error("header too large");
+  }
+  return head_end + 4;
+}
+
+}  // namespace
+
 IncrementalParse try_parse_request(std::string_view input) {
   IncrementalParse result;
   const auto fail = [&result](std::string why) {
@@ -136,62 +228,61 @@ IncrementalParse try_parse_request(std::string_view input) {
     return result;
   };
 
-  const std::size_t head_end = input.find("\r\n\r\n");
-  if (head_end == std::string_view::npos) {
-    if (input.size() > kMaxHeaderBytes) return fail("header too large");
-    return result;  // kNeedMore
-  }
-  if (head_end + 4 > kMaxHeaderBytes) return fail("header too large");
-  auto head = parse_request_head(input.substr(0, head_end + 4));
+  const auto head_size = find_head(input);
+  if (!head_size.ok()) return fail(head_size.error_message());
+  if (head_size.value() == 0) return result;  // kNeedMore
+  auto head = parse_request_head(input.substr(0, head_size.value()));
   if (!head.ok()) return fail(head.error_message());
   Request request = std::move(head).value();
-  std::size_t pos = head_end + 4;
 
-  const auto transfer = request.headers.get("Transfer-Encoding");
-  if (transfer && util::iequals(*transfer, "chunked")) {
-    std::string body;
-    while (true) {
-      const std::size_t eol = input.find("\r\n", pos);
-      if (eol == std::string_view::npos) {
-        if (input.size() - pos > 32) return fail("invalid chunk size");
-        return result;  // kNeedMore: chunk-size line still arriving
-      }
-      auto chunk_len = parse_chunk_size(input.substr(pos, eol - pos));
-      if (!chunk_len.ok()) return fail(chunk_len.error_message());
-      const std::size_t len = chunk_len.value();
-      if (body.size() + len > kMaxBodyBytes) return fail("body too large");
-      const std::size_t data_start = eol + 2;
-      // Chunk data plus its trailing CRLF must be fully buffered.
-      if (input.size() < data_start + len + 2) return result;
-      if (input.substr(data_start + len, 2) != "\r\n") {
-        return fail("missing chunk terminator");
-      }
-      if (len == 0) {
-        pos = data_start + 2;  // no trailers (our peers never send them)
-        break;
-      }
-      body.append(input.substr(data_start, len));
-      pos = data_start + len + 2;
-    }
-    request.body = std::move(body);
-    result.status = IncrementalParse::Status::kDone;
-    result.request = std::move(request);
-    result.consumed = pos;
-    return result;
+  BodyFrame frame = frame_body(input, head_size.value(), request.headers,
+                               /*to_eof=*/false, /*at_eof=*/false);
+  if (frame.status == IncrementalParse::Status::kError) {
+    return fail(std::move(frame.error));
   }
-
-  if (const auto length_header = request.headers.get("Content-Length")) {
-    const auto length = util::parse_int(*length_header);
-    if (!length || *length < 0) return fail("invalid Content-Length");
-    const auto len = static_cast<std::size_t>(*length);
-    if (len > kMaxBodyBytes) return fail("body too large");
-    if (input.size() - pos < len) return result;  // kNeedMore
-    request.body = std::string(input.substr(pos, len));
-    pos += len;
-  }
+  if (frame.status == IncrementalParse::Status::kNeedMore) return result;
+  request.body = std::move(frame.body);
   result.status = IncrementalParse::Status::kDone;
   result.request = std::move(request);
-  result.consumed = pos;
+  result.consumed = frame.end;
+  return result;
+}
+
+IncrementalResponse try_parse_response(std::string_view input, bool at_eof) {
+  IncrementalResponse result;
+  const auto fail = [&result](std::string why) {
+    result.status = IncrementalParse::Status::kError;
+    result.error = std::move(why);
+    return result;
+  };
+
+  const auto head_size = find_head(input);
+  if (!head_size.ok()) return fail(head_size.error_message());
+  if (head_size.value() == 0) {
+    if (at_eof) {
+      return fail(input.empty() ? "connection closed" : "truncated head");
+    }
+    return result;  // kNeedMore
+  }
+  auto head = parse_response_head(input.substr(0, head_size.value()));
+  if (!head.ok()) return fail(head.error_message());
+  Response response = std::move(head).value();
+
+  const bool has_framing = response.headers.has("Content-Length") ||
+                           response.headers.has("Transfer-Encoding");
+  BodyFrame frame = frame_body(input, head_size.value(), response.headers,
+                               /*to_eof=*/!has_framing, at_eof);
+  if (frame.status == IncrementalParse::Status::kError) {
+    return fail(std::move(frame.error));
+  }
+  if (frame.status == IncrementalParse::Status::kNeedMore) {
+    if (at_eof) return fail("truncated body");
+    return result;
+  }
+  response.body = std::move(frame.body);
+  result.status = IncrementalParse::Status::kDone;
+  result.response = std::move(response);
+  result.consumed = frame.end;
   return result;
 }
 

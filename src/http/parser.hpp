@@ -46,6 +46,21 @@ struct IncrementalParse {
 /// bytes arrive.
 IncrementalParse try_parse_request(std::string_view input);
 
+/// Incremental counterpart of read_response, for event-driven clients.
+struct IncrementalResponse {
+  IncrementalParse::Status status = IncrementalParse::Status::kNeedMore;
+  Response response;         ///< valid when kDone
+  std::size_t consumed = 0;  ///< bytes of input to erase when kDone
+  std::string error;         ///< set when kError
+};
+
+/// Attempts to extract one full response from the front of `input`:
+/// Content-Length, chunked, or (with neither header) a body delimited by
+/// EOF, which is complete only once `at_eof` says the peer closed the
+/// connection. With `at_eof`, a message still incomplete is an error.
+/// Same limits as try_parse_request.
+IncrementalResponse try_parse_response(std::string_view input, bool at_eof);
+
 /// Reads one full request (head + body) from the stream.
 /// An empty Result error of "connection closed" means orderly EOF
 /// between requests (normal for keep-alive).

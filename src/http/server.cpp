@@ -1,6 +1,7 @@
 #include "http/server.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -8,12 +9,23 @@
 namespace bifrost::http {
 namespace {
 
-/// A single request may carry up to kMaxBodyBytes; the reactor's
-/// per-connection read bound must admit one whole request plus a little
-/// pipeline slack, or a legitimate large upload would park forever
-/// under backpressure.
-constexpr std::size_t kReactorReadBound =
+/// A single message may carry up to kMaxBodyBytes. The reactor's
+/// per-connection buffer bounds must admit one whole message plus a
+/// little slack: a smaller read bound would park a legitimate large
+/// upload forever under backpressure, and a smaller write bound would
+/// shed every large response as a slow reader before its first write.
+constexpr std::size_t kReactorBufferBound =
     kMaxHeaderBytes + kMaxBodyBytes + 8192;
+
+/// The request whose ReactorHandler runs on this thread: a Reply for it
+/// answers synchronously, before reactor_data returns.
+struct Dispatch {
+  const HttpServer* server = nullptr;
+  net::Reactor::ConnId id = 0;
+  bool answered = false;
+  bool alive = true;  ///< the connection survived the synchronous send
+};
+thread_local Dispatch t_dispatch;
 
 bool wants_close(const Request& request) {
   const auto conn_header = request.headers.get("Connection");
@@ -26,6 +38,18 @@ bool wants_close(const Request& request) {
 HttpServer::HttpServer(Options options, Handler handler)
     : options_(options), handler_(std::move(handler)) {
   if (!handler_) throw std::invalid_argument("http server needs a handler");
+  if (options_.inline_handlers) {
+    reactor_handler_ = [this](const Request& request, const Reply& reply) {
+      reply(run_handler(request));
+    };
+  }
+}
+
+HttpServer::HttpServer(Options options, ReactorHandler handler)
+    : options_(options), reactor_handler_(std::move(handler)) {
+  if (!reactor_handler_) {
+    throw std::invalid_argument("http server needs a handler");
+  }
 }
 
 HttpServer::~HttpServer() { stop(); }
@@ -44,12 +68,13 @@ void HttpServer::start() {
   reactor_options.port = options_.port;
   reactor_options.workers = options_.reactor_workers;
   reactor_options.idle_timeout = options_.idle_timeout;
-  reactor_options.max_read_buffer = kReactorReadBound;
+  reactor_options.max_read_buffer = kReactorBufferBound;
+  reactor_options.max_write_buffer = kReactorBufferBound;
   reactor_ = std::make_unique<net::Reactor>(
       reactor_options, [this](net::Reactor::ConnId id, std::string& input) {
         return reactor_data(id, input);
       });
-  if (!options_.inline_handlers) {
+  if (!reactor_handler_) {
     pool_ = std::make_unique<runtime::ThreadPool>(options_.worker_threads);
   }
   auto started = reactor_->start();
@@ -81,14 +106,24 @@ net::Reactor::Verdict HttpServer::reactor_data(net::Reactor::ConnId id,
     input.erase(0, parsed.consumed);
     const bool close = wants_close(parsed.request);
 
-    if (options_.inline_handlers) {
-      Response response = run_handler(parsed.request);
-      requests_served_.fetch_add(1);
-      response.headers.set("Connection", close ? "close" : "keep-alive");
-      reactor_->send(id,
-                     {response.serialize_head(), std::move(response.body)},
-                     close);
-      if (close) return net::Reactor::Verdict::kClose;
+    if (reactor_handler_) {
+      const Dispatch outer = t_dispatch;
+      t_dispatch = Dispatch{this, id, false, true};
+      const Reply reply(this, id, close);
+      try {
+        reactor_handler_(std::move(parsed.request), reply);
+      } catch (const std::exception& e) {
+        if (!t_dispatch.answered) {
+          reply(Response::text(500, std::string("handler error: ") + e.what()));
+        }
+      }
+      const Dispatch mine = std::exchange(t_dispatch, outer);
+      if (!mine.answered) {
+        inflight_.fetch_add(1);  // answered later, by resume()
+        return net::Reactor::Verdict::kSuspend;
+      }
+      // A closed connection freed `input` with it.
+      if (!mine.alive || close) return net::Reactor::Verdict::kClose;
       continue;  // serve any further pipelined requests
     }
 
@@ -100,14 +135,7 @@ net::Reactor::Verdict HttpServer::reactor_data(net::Reactor::ConnId id,
           response.headers.set("Connection", close ? "close" : "keep-alive");
           reactor_->complete(
               id, {response.serialize_head(), std::move(response.body)},
-              close, [this] {
-                inflight_.fetch_sub(1);
-                // Empty critical section pairs with the drain wait:
-                // either the waiter's predicate sees the decrement or
-                // the notify lands after it started waiting.
-                { const std::lock_guard<std::mutex> lock(mutex_); }
-                drain_cv_.notify_all();
-              });
+              close, [this] { finish_inflight(); });
         });
     if (!submitted) {
       // Pool refused (shutting down): answer 503 rather than parking
@@ -125,6 +153,35 @@ net::Reactor::Verdict HttpServer::reactor_data(net::Reactor::ConnId id,
   }
 }
 
+void HttpServer::Reply::operator()(Response response) const {
+  server_->answer(id_, close_, std::move(response));
+}
+
+void HttpServer::answer(net::Reactor::ConnId id, bool close,
+                        Response response) {
+  requests_served_.fetch_add(1);
+  response.headers.set("Connection", close ? "close" : "keep-alive");
+  std::vector<std::string> parts{response.serialize_head(),
+                                 std::move(response.body)};
+  if (t_dispatch.server == this && t_dispatch.id == id &&
+      !t_dispatch.answered) {
+    t_dispatch.answered = true;
+    t_dispatch.alive = reactor_->send(id, std::move(parts), close);
+    return;
+  }
+  reactor_->resume(id, std::move(parts), close);
+  finish_inflight();
+}
+
+void HttpServer::finish_inflight() {
+  inflight_.fetch_sub(1);
+  // Empty critical section pairs with the drain wait: either the
+  // waiter's predicate sees the decrement or the notify lands after it
+  // started waiting.
+  { const std::lock_guard<std::mutex> lock(mutex_); }
+  drain_cv_.notify_all();
+}
+
 void HttpServer::stop() {
   if (!running_.exchange(false)) return;
   reactor_->drain();
@@ -135,19 +192,21 @@ void HttpServer::stop() {
                          [&] { return inflight_.load() == 0; });
     }
   }
-  // A straggler may be blocked inside its handler on a slow dependency;
-  // let the owner cut it loose so the pool join below is bounded.
-  if (inflight_.load() > 0 && options_.on_drain_expired) {
-    options_.on_drain_expired();
-  }
   if (pool_) pool_->shutdown();  // drains: every accepted job completes
   pool_.reset();
+  // Force-closes stragglers; continuations still waiting on the reactor
+  // are destroyed unanswered.
   reactor_->stop();
   reactor_.reset();
+  inflight_.store(0);
 }
 
 std::size_t HttpServer::open_connections() const {
   return reactor_ ? reactor_->open_connections() : 0;
+}
+
+std::size_t HttpServer::pending_timers() const {
+  return reactor_ ? reactor_->pending_timers() : 0;
 }
 
 }  // namespace bifrost::http

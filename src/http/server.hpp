@@ -19,31 +19,56 @@ namespace bifrost::http {
 /// HTTP/1.1 server on an epoll reactor with SO_REUSEPORT
 /// worker-per-core accept loops (net::Reactor). Each reactor thread
 /// owns its connections outright; request bytes are parsed
-/// incrementally on the reactor thread and complete requests are
-/// offloaded to the bounded handler pool, whose responses marshal back
-/// to the owning reactor for writev assembly. Tens of thousands of idle
+/// incrementally on the reactor thread. Tens of thousands of idle
 /// keep-alive connections cost two buffers each, no thread.
 ///
-/// The handler pool bounds request concurrency, not connection count.
-/// Handlers run concurrently; they must be thread-safe, and they may
-/// block (unless Options::inline_handlers is set).
+/// A request is answered in one of two ways, fixed at construction:
+///  * Handler: runs on a bounded handler pool, whose responses marshal
+///    back to the owning reactor for writev assembly. The pool bounds
+///    request concurrency, not connection count. Handlers run
+///    concurrently; they must be thread-safe, and they may block
+///    (unless Options::inline_handlers is set).
+///  * ReactorHandler: runs on the reactor thread that owns the
+///    connection and answers through a Reply, at once or later from a
+///    continuation on the same worker (a reactor timer or outbound
+///    connection). It must never block.
 class HttpServer {
  public:
   using Handler = std::function<Response(const Request&)>;
 
+  /// Answers one request of a ReactorHandler. Call it exactly once, on
+  /// the worker that ran the handler; copies name the same request.
+  class Reply {
+   public:
+    void operator()(Response response) const;
+    /// The reactor whose worker runs the handler: for continuations
+    /// (timers, outbound connections) that answer later.
+    [[nodiscard]] net::Reactor& reactor() const { return *server_->reactor_; }
+
+   private:
+    friend class HttpServer;
+    Reply(HttpServer* server, net::Reactor::ConnId id, bool close)
+        : server_(server), id_(id), close_(close) {}
+    HttpServer* server_;
+    net::Reactor::ConnId id_;
+    bool close_;
+  };
+  using ReactorHandler = std::function<void(Request request, Reply reply)>;
+
   struct Options {
     std::uint16_t port = 0;  ///< 0 = ephemeral
     /// Handler pool size: bounds concurrently running handlers, not
-    /// connections.
+    /// connections. Unused with a ReactorHandler or inline_handlers.
     std::size_t worker_threads = 8;
     /// Reactor threads, each owning one epoll set, one SO_REUSEPORT
     /// accept socket and every connection it accepted. Sized to cores;
     /// connection capacity does not depend on it.
     std::size_t reactor_workers = 2;
-    /// Run handlers inline on the reactor thread instead of the pool.
-    /// Strictly for handlers that never block (microbench ceilings,
-    /// trivial static responses) — a blocking inline handler stalls
-    /// every connection owned by that reactor worker.
+    /// Run a Handler on the reactor thread instead of the pool, as a
+    /// ReactorHandler that answers at once. Strictly for handlers that
+    /// never block (microbench ceilings, trivial static responses) — a
+    /// blocking inline handler stalls every connection owned by that
+    /// reactor worker.
     bool inline_handlers = false;
     /// Connections that send nothing for this long are closed: idle
     /// keep-alive connections and clients stalled mid-request alike.
@@ -51,15 +76,10 @@ class HttpServer {
     /// How long stop() waits for in-flight requests to finish before
     /// force-closing their connections (graceful drain). 0 = immediate.
     std::chrono::milliseconds drain_timeout{5000};
-    /// Called by stop() when the drain deadline passes with requests
-    /// still in flight. Closing the inbound connection does not unblock
-    /// a handler that is itself waiting on a slow dependency (e.g. a
-    /// proxy's upstream call); this hook lets the owner cut those
-    /// dependencies loose so the worker pool can join.
-    std::function<void()> on_drain_expired;
   };
 
   HttpServer(Options options, Handler handler);
+  HttpServer(Options options, ReactorHandler handler);
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
@@ -70,8 +90,8 @@ class HttpServer {
 
   /// Stops accepting, waits up to Options::drain_timeout for in-flight
   /// requests to complete (idle keep-alive connections are closed
-  /// immediately), force-closes stragglers, joins all threads.
-  /// Idempotent.
+  /// immediately), force-closes stragglers and the reactor's outbound
+  /// connections, joins all threads. Idempotent.
   void stop();
 
   /// Bound port (valid after start()).
@@ -83,21 +103,26 @@ class HttpServer {
 
   /// Currently open connections (idle + in flight), for diagnostics.
   [[nodiscard]] std::size_t open_connections() const;
+  /// Reactor timers not yet fired or cancelled, for diagnostics.
+  [[nodiscard]] std::size_t pending_timers() const;
 
  private:
   net::Reactor::Verdict reactor_data(net::Reactor::ConnId id,
                                      std::string& input);
   [[nodiscard]] Response run_handler(const Request& request);
+  void answer(net::Reactor::ConnId id, bool close, Response response);
+  void finish_inflight();
 
   Options options_;
   Handler handler_;
+  ReactorHandler reactor_handler_;
   std::uint16_t port_ = 0;
   std::unique_ptr<runtime::ThreadPool> pool_;
   std::unique_ptr<net::Reactor> reactor_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_served_{0};
-  /// Requests offloaded to the handler pool and not yet marshalled
-  /// back; stop() drains on this.
+  /// Requests handed to the pool, or to a ReactorHandler that did not
+  /// answer at once, and not answered yet; stop() drains on this.
   std::atomic<std::size_t> inflight_{0};
   /// stop() waits on drain_cv_ (under mutex_) for inflight_ to reach
   /// zero; every decrement notifies it.

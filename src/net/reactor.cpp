@@ -8,9 +8,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -29,6 +31,12 @@ constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kEventTag = 1;
 constexpr std::uint64_t kFirstConnSeq = 2;
 constexpr int kMaxIov = 64;
+/// epoll_wait's longest sleep: the idle-sweep period.
+constexpr std::chrono::milliseconds kMaxWait{250};
+
+/// The reactor and worker index whose loop runs on this thread.
+thread_local const Reactor* t_reactor = nullptr;
+thread_local std::size_t t_worker_index = Reactor::kNotAWorker;
 
 }  // namespace
 
@@ -41,11 +49,15 @@ struct Reactor::Conn {
   std::size_t out_front_offset = 0; ///< bytes of out.front() already sent
   bool suspended = false;
   bool close_after_flush = false;
+  bool connecting = false;  ///< outbound, handshake not yet complete
+  int error = 0;            ///< errno that closed the connection
   bool peer_closed = false;
   bool want_read = true;    ///< EPOLLIN armed
   bool want_write = false;  ///< EPOLLOUT armed
   bool registered = true;   ///< fd present in the epoll set
   std::chrono::steady_clock::time_point last_active;
+  /// Set for outbound connections (adopt()).
+  std::shared_ptr<const OutboundFns> outbound;
 };
 
 struct Reactor::Worker {
@@ -55,11 +67,18 @@ struct Reactor::Worker {
   TcpListener listener;
   std::unordered_map<ConnId, std::unique_ptr<Conn>> conns;
   std::uint64_t next_seq = kFirstConnSeq;
+  /// Pending timers by (deadline, seq); seq carries the worker index
+  /// like a ConnId.
+  std::map<std::pair<std::chrono::steady_clock::time_point, std::uint64_t>,
+           std::function<void()>>
+      timers;
+  std::uint64_t next_timer_seq = 1;
   std::chrono::steady_clock::time_point last_sweep;
   std::mutex post_mutex;
   std::vector<std::function<void()>> posted;
   std::atomic<std::size_t> open{0};
   std::atomic<std::size_t> suspended{0};
+  std::atomic<std::size_t> pending_timers{0};
   std::thread thread;
 };
 
@@ -131,7 +150,9 @@ void Reactor::drain() {
       raw->listener.close();
       std::vector<ConnId> idle;
       for (const auto& [id, conn] : raw->conns) {
-        if (conn->suspended) continue;  // a handler owns it; drain waits
+        // A handler owns a suspended connection, and an outbound one may
+        // carry its request: the drain waits for both.
+        if (conn->suspended || conn->outbound) continue;
         if (!conn->out.empty()) {
           // Mid-flush response: let it finish, then close.
           conn->close_after_flush = true;
@@ -160,8 +181,10 @@ void Reactor::stop() {
       if (conn->fd >= 0) ::close(conn->fd);
     }
     worker->conns.clear();
+    worker->timers.clear();
     worker->open.store(0);
     worker->suspended.store(0);
+    worker->pending_timers.store(0);
     worker->listener.close();
     if (worker->epoll_fd >= 0) ::close(worker->epoll_fd);
     if (worker->event_fd >= 0) ::close(worker->event_fd);
@@ -182,6 +205,16 @@ std::size_t Reactor::suspended_connections() const {
   return total;
 }
 
+std::size_t Reactor::pending_timers() const {
+  std::size_t total = 0;
+  for (const auto& worker : workers_) total += worker->pending_timers.load();
+  return total;
+}
+
+std::size_t Reactor::current_worker() const {
+  return t_reactor == this ? t_worker_index : kNotAWorker;
+}
+
 void Reactor::post(std::size_t worker_index, std::function<void()> fn) {
   if (worker_index >= workers_.size()) return;
   Worker& worker = *workers_[worker_index];
@@ -194,14 +227,14 @@ void Reactor::post(std::size_t worker_index, std::function<void()> fn) {
       ::write(worker.event_fd, &one, sizeof one);
 }
 
-void Reactor::send(ConnId id, std::vector<std::string> parts,
+bool Reactor::send(ConnId id, std::vector<std::string> parts,
                    bool close_after) {
   const std::size_t index = worker_of(id);
-  if (index >= workers_.size()) return;
+  if (index >= workers_.size()) return false;
   Worker& worker = *workers_[index];
   const auto it = worker.conns.find(id);
-  if (it == worker.conns.end()) return;
-  queue_output(worker, *it->second, std::move(parts), close_after);
+  if (it == worker.conns.end()) return false;
+  return queue_output(worker, *it->second, std::move(parts), close_after);
 }
 
 void Reactor::complete(ConnId id, std::vector<std::string> parts,
@@ -209,41 +242,117 @@ void Reactor::complete(ConnId id, std::vector<std::string> parts,
   post(worker_of(id),
        [this, id, parts = std::move(parts), close_after,
         on_done = std::move(on_done)]() mutable {
-         Worker& worker = *workers_[worker_of(id)];
-         const auto it = worker.conns.find(id);
-         if (it != worker.conns.end()) {
-           Conn& conn = *it->second;
-           if (conn.suspended) {
-             conn.suspended = false;
-             worker.suspended.fetch_sub(1);
-           }
-           conn.last_active = std::chrono::steady_clock::now();
-           const bool close =
-               close_after || conn.peer_closed || draining_.load();
-           queue_output(worker, conn, std::move(parts), close);
-           // The connection may have been closed by queue_output (write
-           // error / overflow); re-resolve before touching it again.
-           const auto again = worker.conns.find(id);
-           if (again != worker.conns.end() &&
-               !again->second->close_after_flush &&
-               !again->second->in.empty()) {
-             // Pipelined bytes arrived while the handler ran.
-             run_data(worker, *again->second);
-           } else if (again != worker.conns.end() &&
-                      again->second->peer_closed &&
-                      again->second->out.empty()) {
-             close_conn(worker, id);
-           }
-         }
+         resume(id, std::move(parts), close_after);
          if (on_done) on_done();
        });
 }
 
+void Reactor::resume(ConnId id, std::vector<std::string> parts,
+                     bool close_after) {
+  const std::size_t index = worker_of(id);
+  if (index >= workers_.size()) return;
+  Worker& worker = *workers_[index];
+  const auto it = worker.conns.find(id);
+  if (it == worker.conns.end()) return;
+  Conn& conn = *it->second;
+  if (conn.suspended) {
+    conn.suspended = false;
+    worker.suspended.fetch_sub(1);
+  }
+  conn.last_active = std::chrono::steady_clock::now();
+  const bool close = close_after || conn.peer_closed || draining_.load();
+  if (!queue_output(worker, conn, std::move(parts), close)) return;
+  if (!conn.close_after_flush && !conn.in.empty()) {
+    // Pipelined bytes arrived while the handler ran.
+    run_data(worker, conn);
+  } else if (conn.peer_closed && conn.out.empty()) {
+    close_conn(worker, id);
+  }
+}
+
+util::Result<Reactor::ConnId> Reactor::adopt(
+    FdHandle fd, std::shared_ptr<const OutboundFns> fns) {
+  const std::size_t index = current_worker();
+  if (index == kNotAWorker) {
+    return util::Result<ConnId>::error("reactor: adopt() off a worker thread");
+  }
+  Worker& worker = *workers_[index];
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd.release();
+  conn->id = (static_cast<ConnId>(worker.index) << kWorkerShift) |
+             worker.next_seq++;
+  conn->last_active = std::chrono::steady_clock::now();
+  conn->outbound = std::move(fns);
+  // The handshake completes (or fails) as EPOLLOUT.
+  conn->connecting = true;
+  conn->want_write = true;
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLOUT;
+  ev.data.u64 = conn->id;
+  if (::epoll_ctl(worker.epoll_fd, EPOLL_CTL_ADD, conn->fd, &ev) != 0) {
+    const int err = errno;
+    ::close(conn->fd);
+    return util::Result<ConnId>::error(std::string("reactor: epoll_ctl: ") +
+                                       std::strerror(err));
+  }
+  const ConnId id = conn->id;
+  worker.conns.emplace(id, std::move(conn));
+  return id;
+}
+
+void Reactor::close(ConnId id) {
+  const std::size_t index = worker_of(id);
+  if (index >= workers_.size()) return;
+  close_conn(*workers_[index], id, /*notify=*/false);
+}
+
+Reactor::Timer Reactor::start_timer(
+    std::chrono::steady_clock::time_point deadline, std::function<void()> fn) {
+  const std::size_t index = current_worker();
+  if (index == kNotAWorker) return {};
+  Worker& worker = *workers_[index];
+  const Timer timer{deadline, (static_cast<std::uint64_t>(index)
+                               << kWorkerShift) |
+                                  worker.next_timer_seq++};
+  worker.timers.emplace(std::make_pair(deadline, timer.seq), std::move(fn));
+  worker.pending_timers.fetch_add(1);
+  return timer;
+}
+
+void Reactor::cancel_timer(const Timer& timer) {
+  if (timer.seq == 0) return;
+  const std::size_t index = worker_of(timer.seq);
+  if (index >= workers_.size()) return;
+  Worker& worker = *workers_[index];
+  if (worker.timers.erase(std::make_pair(timer.deadline, timer.seq)) > 0) {
+    worker.pending_timers.fetch_sub(1);
+  }
+}
+
+void Reactor::run_timers(Worker& worker) {
+  const auto now = std::chrono::steady_clock::now();
+  while (!worker.timers.empty() && worker.timers.begin()->first.first <= now) {
+    auto node = worker.timers.extract(worker.timers.begin());
+    worker.pending_timers.fetch_sub(1);
+    node.mapped()();
+  }
+}
+
 void Reactor::worker_loop(Worker& worker) {
+  t_reactor = this;
+  t_worker_index = worker.index;
   std::vector<epoll_event> events(256);
   while (running_.load()) {
+    auto wait = kMaxWait;
+    if (!worker.timers.empty()) {
+      const auto until = std::chrono::ceil<std::chrono::milliseconds>(
+          worker.timers.begin()->first.first -
+          std::chrono::steady_clock::now());
+      wait = std::clamp(until, std::chrono::milliseconds(0), kMaxWait);
+    }
     const int n = ::epoll_wait(worker.epoll_fd, events.data(),
-                               static_cast<int>(events.size()), 250);
+                               static_cast<int>(events.size()),
+                               static_cast<int>(wait.count()));
     if (n < 0 && errno != EINTR) {
       util::log_error("reactor", "epoll_wait failed: ", std::strerror(errno));
       return;
@@ -283,7 +392,11 @@ void Reactor::worker_loop(Worker& worker) {
       if (it == worker.conns.end()) continue;  // closed earlier this batch
       Conn& conn = *it->second;
       if ((ev.events & EPOLLOUT) != 0) {
-        flush(worker, conn);
+        if (conn.connecting) {
+          connect_done(worker, conn);
+        } else {
+          flush(worker, conn);
+        }
         if (worker.conns.find(ev.data.u64) == worker.conns.end()) continue;
       }
       if ((ev.events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
@@ -291,8 +404,10 @@ void Reactor::worker_loop(Worker& worker) {
       }
     }
 
+    run_timers(worker);
+
     const auto now = std::chrono::steady_clock::now();
-    if (now - worker.last_sweep > std::chrono::milliseconds(250)) {
+    if (now - worker.last_sweep > kMaxWait) {
       worker.last_sweep = now;
       sweep_idle(worker);
     }
@@ -357,9 +472,23 @@ void Reactor::conn_readable(Worker& worker, Conn& conn) {
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     conn.peer_closed = true;  // hard error: treat as gone
+    conn.error = errno;
     break;
   }
   const ConnId id = conn.id;
+  if (conn.outbound) {
+    if (got_bytes) {
+      // The callbacks outlive the call even if it closes the connection.
+      const std::shared_ptr<const OutboundFns> fns = conn.outbound;
+      fns->on_data(id, conn.in);
+      const auto it = worker.conns.find(id);
+      if (it == worker.conns.end()) return;
+      if (!conn.peer_closed) resume_reading(worker, conn);
+    }
+    // Nothing more can arrive: close at once, output unsent or not.
+    if (conn.peer_closed) close_conn(worker, id);
+    return;
+  }
   if (conn.peer_closed && conn.want_read) {
     // Stop watching for input: EOF would level-trigger EPOLLIN forever
     // while a suspended handler runs.
@@ -386,11 +515,7 @@ void Reactor::run_data(Worker& worker, Conn& conn) {
   Conn& current = *it->second;
   switch (verdict) {
     case Verdict::kContinue:
-      if (!current.want_read && !current.peer_closed &&
-          current.in.size() < options_.max_read_buffer) {
-        current.want_read = true;  // backpressure released
-        update_interest(worker, current);
-      }
+      resume_reading(worker, current);
       break;
     case Verdict::kSuspend:
       if (!current.suspended) {
@@ -405,7 +530,28 @@ void Reactor::run_data(Worker& worker, Conn& conn) {
   }
 }
 
-void Reactor::queue_output(Worker& worker, Conn& conn,
+void Reactor::resume_reading(Worker& worker, Conn& conn) {
+  if (!conn.want_read && !conn.peer_closed &&
+      conn.in.size() < options_.max_read_buffer) {
+    conn.want_read = true;  // backpressure released
+    update_interest(worker, conn);
+  }
+}
+
+void Reactor::connect_done(Worker& worker, Conn& conn) {
+  int err = 0;
+  socklen_t len = sizeof err;
+  ::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+  if (err != 0) {
+    conn.error = err;
+    close_conn(worker, conn.id);
+    return;
+  }
+  conn.connecting = false;
+  flush(worker, conn);
+}
+
+bool Reactor::queue_output(Worker& worker, Conn& conn,
                            std::vector<std::string> parts, bool close_after) {
   for (auto& part : parts) {
     if (part.empty()) continue;
@@ -416,12 +562,13 @@ void Reactor::queue_output(Worker& worker, Conn& conn,
   if (conn.out_bytes > options_.max_write_buffer) {
     // The peer is not draining responses; shed the slow reader.
     close_conn(worker, conn.id);
-    return;
+    return false;
   }
-  flush(worker, conn);
+  if (conn.connecting) return true;  // EPOLLOUT flushes once connected
+  return flush(worker, conn);
 }
 
-void Reactor::flush(Worker& worker, Conn& conn) {
+bool Reactor::flush(Worker& worker, Conn& conn) {
   const ConnId id = conn.id;
   while (!conn.out.empty()) {
     iovec iov[kMaxIov];
@@ -442,10 +589,11 @@ void Reactor::flush(Worker& worker, Conn& conn) {
           conn.want_write = true;
           update_interest(worker, conn);
         }
-        return;
+        return true;
       }
+      conn.error = errno;
       close_conn(worker, id);  // peer gone mid-response
-      return;
+      return false;
     }
     std::size_t remaining = static_cast<std::size_t>(n);
     conn.out_bytes -= remaining;
@@ -466,7 +614,11 @@ void Reactor::flush(Worker& worker, Conn& conn) {
     conn.want_write = false;
     update_interest(worker, conn);
   }
-  if (conn.close_after_flush) close_conn(worker, id);
+  if (conn.close_after_flush) {
+    close_conn(worker, id);
+    return false;
+  }
+  return true;
 }
 
 void Reactor::update_interest(Worker& worker, Conn& conn) {
@@ -494,24 +646,30 @@ void Reactor::update_interest(Worker& worker, Conn& conn) {
   }
 }
 
-void Reactor::close_conn(Worker& worker, ConnId id) {
+void Reactor::close_conn(Worker& worker, ConnId id, bool notify) {
   const auto it = worker.conns.find(id);
   if (it == worker.conns.end()) return;
-  Conn& conn = *it->second;
-  if (conn.suspended) worker.suspended.fetch_sub(1);
-  if (conn.registered) {
-    ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
-  }
-  ::close(conn.fd);
+  const std::unique_ptr<Conn> conn = std::move(it->second);
   worker.conns.erase(it);
-  worker.open.fetch_sub(1);
+  if (conn->suspended) worker.suspended.fetch_sub(1);
+  if (conn->registered) {
+    ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+  }
+  ::close(conn->fd);
+  if (!conn->outbound) {
+    worker.open.fetch_sub(1);
+  } else if (notify) {
+    // Erased first, so the callback sees the connection gone.
+    conn->outbound->on_close(id, conn->in, conn->error);
+  }
 }
 
 void Reactor::sweep_idle(Worker& worker) {
   const auto now = std::chrono::steady_clock::now();
   std::vector<ConnId> expired;
   for (const auto& [id, conn] : worker.conns) {
-    if (!conn->suspended && now - conn->last_active > options_.idle_timeout) {
+    if (!conn->suspended && !conn->outbound &&
+        now - conn->last_active > options_.idle_timeout) {
       expired.push_back(id);
     }
   }

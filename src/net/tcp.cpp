@@ -26,56 +26,67 @@ void FdHandle::reset() {
   if (fd >= 0) ::close(fd);
 }
 
+util::Result<FdHandle> connect_nonblocking(const std::string& host,
+                                          std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  // Numeric addresses (every backend in this repository) skip the
+  // resolver; names still go through getaddrinfo.
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    addrinfo hints{};
+    hints.ai_family = AF_INET;
+    hints.ai_socktype = SOCK_STREAM;
+    addrinfo* res = nullptr;
+    const std::string service = std::to_string(port);
+    if (const int rc =
+            ::getaddrinfo(host.c_str(), service.c_str(), &hints, &res);
+        rc != 0) {
+      return util::Result<FdHandle>::error("getaddrinfo(" + host +
+                                           "): " + gai_strerror(rc));
+    }
+    std::memcpy(&addr, res->ai_addr, sizeof addr);
+    ::freeaddrinfo(res);
+  }
+  FdHandle fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0));
+  if (!fd.valid()) {
+    return util::Result<FdHandle>::error(errno_message("socket"));
+  }
+  const int one = 1;
+  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof addr) != 0 &&
+      errno != EINPROGRESS) {
+    return util::Result<FdHandle>::error(errno_message("connect"));
+  }
+  return fd;
+}
+
 util::Result<TcpStream> TcpStream::connect(const std::string& host,
                                            std::uint16_t port,
                                            std::chrono::milliseconds timeout) {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  const std::string service = std::to_string(port);
-  if (const int rc = ::getaddrinfo(host.c_str(), service.c_str(), &hints, &res);
-      rc != 0) {
-    return util::Result<TcpStream>::error("getaddrinfo(" + host +
-                                          "): " + gai_strerror(rc));
+  auto connecting = connect_nonblocking(host, port);
+  if (!connecting.ok()) {
+    return util::Result<TcpStream>::error(connecting.error_message());
   }
-  FdHandle fd(::socket(res->ai_family, res->ai_socktype | SOCK_CLOEXEC,
-                       res->ai_protocol));
-  if (!fd.valid()) {
-    ::freeaddrinfo(res);
-    return util::Result<TcpStream>::error(errno_message("socket"));
+  FdHandle fd = std::move(connecting).value();
+  // Wait for the handshake with poll() so we honour the timeout.
+  pollfd pfd{fd.get(), POLLOUT, 0};
+  const int rc = ::poll(&pfd, 1, static_cast<int>(timeout.count()));
+  if (rc <= 0) {
+    return util::Result<TcpStream>::error(
+        rc == 0 ? "connect timeout" : errno_message("poll"));
   }
-
-  // Non-blocking connect with poll() so we honour the timeout.
+  int err = 0;
+  socklen_t len = sizeof err;
+  ::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len);
+  if (err != 0) {
+    return util::Result<TcpStream>::error(std::string("connect: ") +
+                                          std::strerror(err));
+  }
   const int flags = ::fcntl(fd.get(), F_GETFL, 0);
-  ::fcntl(fd.get(), F_SETFL, flags | O_NONBLOCK);
-  int rc = ::connect(fd.get(), res->ai_addr, res->ai_addrlen);
-  ::freeaddrinfo(res);
-  if (rc != 0 && errno != EINPROGRESS) {
-    return util::Result<TcpStream>::error(errno_message("connect"));
-  }
-  if (rc != 0) {
-    pollfd pfd{fd.get(), POLLOUT, 0};
-    rc = ::poll(&pfd, 1, static_cast<int>(timeout.count()));
-    if (rc <= 0) {
-      return util::Result<TcpStream>::error(
-          rc == 0 ? "connect timeout" : errno_message("poll"));
-    }
-    int err = 0;
-    socklen_t len = sizeof err;
-    ::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len);
-    if (err != 0) {
-      return util::Result<TcpStream>::error(std::string("connect: ") +
-                                            std::strerror(err));
-    }
-  }
-  ::fcntl(fd.get(), F_SETFL, flags);  // back to blocking
-
-  TcpStream stream(std::move(fd));
-  if (auto r = stream.set_no_delay(true); !r) {
-    return util::Result<TcpStream>::error(r.error_message());
-  }
-  return stream;
+  ::fcntl(fd.get(), F_SETFL, flags & ~O_NONBLOCK);  // back to blocking
+  return TcpStream(std::move(fd));
 }
 
 util::Result<void> TcpStream::set_io_timeout(

@@ -42,6 +42,14 @@ class FdHandle {
   std::atomic<int> fd_{-1};
 };
 
+/// Starts a TCP connect to host:port (IPv4 literal or resolvable name)
+/// on a non-blocking socket with TCP_NODELAY set. The handshake may
+/// still be in flight: the socket turns writable when it completes (or
+/// fails; SO_ERROR then says why). Event loops adopt the socket
+/// (net::Reactor::adopt); TcpStream::connect waits for it with poll().
+util::Result<FdHandle> connect_nonblocking(const std::string& host,
+                                          std::uint16_t port);
+
 /// A connected TCP stream (blocking, with optional I/O timeouts).
 class TcpStream {
  public:

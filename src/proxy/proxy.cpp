@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,12 +20,8 @@ std::uint64_t next_instance_id() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-http::HttpClient::Options backend_client_options(
-    std::chrono::milliseconds io_timeout) {
-  http::HttpClient::Options options;
-  if (io_timeout.count() > 0) options.io_timeout = io_timeout;
-  return options;
-}
+/// Backend deadline when neither the version nor Options sets one.
+constexpr std::chrono::milliseconds kDefaultBackendTimeout{10000};
 
 http::HttpClient::Options probe_client_options() {
   // Probes answer one question — is the backend reachable and healthy —
@@ -37,9 +32,9 @@ http::HttpClient::Options probe_client_options() {
   return options;
 }
 
-/// The transport layer reports deadline hits as "connect timeout" /
-/// "read timeout" / "write timeout" (net/tcp.cpp); everything else is a
-/// refused/reset/parse-style transport failure.
+/// The upstream client reports deadline hits as "upstream timeout ..."
+/// (http/upstream.cpp); everything else is a refused/reset/parse-style
+/// transport failure.
 bool is_timeout_error(const std::string& message) {
   return message.find("timeout") != std::string::npos;
 }
@@ -50,7 +45,6 @@ BifrostProxy::BifrostProxy(Options options, ProxyConfig initial)
     : options_(options),
       instance_id_(next_instance_id()),
       sessions_(options.session_shards, options.max_sticky_sessions),
-      backend_client_(backend_client_options(options.backend_timeout)),
       probe_client_(probe_client_options()),
       overload_(options.health_listener) {
   if (auto v = initial.validate(); !v) {
@@ -69,20 +63,19 @@ BifrostProxy::BifrostProxy(Options options, ProxyConfig initial)
   state_ = build_state(std::move(initial));
   state_version_.store(1, std::memory_order_release);
 
+  // The data path runs on the data server's reactor threads: each
+  // request is routed, forwarded and answered by the worker that owns
+  // its inbound connection, over that worker's upstream pool.
   http::HttpServer::Options data_options;
   data_options.port = options_.data_port;
-  data_options.worker_threads = options_.worker_threads;
   data_options.drain_timeout = options_.drain_timeout;
-  // If the drain deadline passes with requests still in flight, the
-  // blocked workers are usually waiting on a backend, not on the client
-  // connection — cut the upstream calls so stop() stays bounded.
-  data_options.on_drain_expired = [this] {
-    backend_client_.abort_inflight();
-    shadow_client_.abort_inflight();
-  };
+  upstream_ =
+      std::make_unique<http::UpstreamClient>(data_options.reactor_workers);
   data_server_ = std::make_unique<http::HttpServer>(
       data_options,
-      [this](const http::Request& req) { return handle_data(req); });
+      [this](http::Request request, const http::HttpServer::Reply& reply) {
+        handle_data(std::move(request), reply);
+      });
 
   http::HttpServer::Options admin_options;
   admin_options.port = options_.admin_port;
@@ -117,10 +110,15 @@ void BifrostProxy::stop() {
   probe_client_.abort_inflight();
   if (probe_thread_.joinable()) probe_thread_.join();
   // Data plane first: its stop() drains in-flight user requests up to
-  // Options::drain_timeout. The admin plane stays reachable meanwhile
-  // so /admin/health can report the drain.
+  // Options::drain_timeout, then closes the upstream connections with
+  // its reactor. The admin plane stays reachable meanwhile so
+  // /admin/health can report the drain.
   data_server_->stop();
+  upstream_->reset();
   admin_server_->stop();
+  // Dark traffic is best-effort: cut shadows still waiting on a
+  // backend so the queue's join stays bounded.
+  shadow_client_.abort_inflight();
   if (shadow_queue_) shadow_queue_->shutdown();
 }
 
@@ -155,6 +153,9 @@ std::shared_ptr<const BifrostProxy::RouteState> BifrostProxy::build_state(
     per_version.timeout = backend.timeout_ms != 0
                               ? std::chrono::milliseconds(backend.timeout_ms)
                               : options_.backend_timeout;
+    if (per_version.timeout.count() <= 0) {
+      per_version.timeout = kDefaultBackendTimeout;
+    }
     state->by_version.emplace(backend.version, std::move(per_version));
   }
   // Retired versions lose their control blocks (a later re-introduction
@@ -357,37 +358,84 @@ std::size_t BifrostProxy::decide_backend(
   return config.backends.size() - 1;
 }
 
-http::Response BifrostProxy::handle_data(const http::Request& request) {
-  const auto started = std::chrono::steady_clock::now();
-  const std::shared_ptr<const RouteState> state = route_state();
-  const ProxyConfig& config = state->config;
+/// One live request from its routing decision to its answer. Shared by
+/// the continuations (timers, the upstream callback) that carry it.
+struct BifrostProxy::Forward {
+  Forward(std::shared_ptr<const RouteState> route_state, http::Request req,
+          const http::HttpServer::Reply& answer)
+      : state(std::move(route_state)),
+        request(std::move(req)),
+        reply(answer) {}
+  Forward(const Forward&) = delete;
+  Forward& operator=(const Forward&) = delete;
+  /// A request dropped unanswered (the server stopped) gives back its
+  /// admission slot.
+  ~Forward() {
+    if (holds_gate) per_version->control->gate.release();
+  }
 
+  [[nodiscard]] const BackendTarget& backend() const {
+    return state->config.backends[index];
+  }
+
+  std::shared_ptr<const RouteState> state;
+  http::Request request;
+  http::HttpServer::Reply reply;
+  std::chrono::steady_clock::time_point started;
+  std::size_t index = 0;  ///< into state->config.backends
+  const PerVersion* per_version = nullptr;
+  std::string session_id;
+  bool new_session = false;
+  bool holds_gate = false;
+};
+
+void BifrostProxy::handle_data(http::Request request,
+                               const http::HttpServer::Reply& reply) {
+  const auto started = std::chrono::steady_clock::now();
   if (options_.emulation_cost.count() > 0) {
     // Emulates the per-request processing cost of the paper's Node.js
     // prototype so the evaluation harness reproduces its overhead shape.
-    std::this_thread::sleep_for(options_.emulation_cost);
+    // A timer, not a sleep: concurrent requests pay it concurrently, as
+    // on Node's event loop.
+    reply.reactor().start_timer(
+        started + options_.emulation_cost,
+        [this, request = std::move(request), reply, started]() mutable {
+          route(std::move(request), reply, started);
+        });
+    return;
   }
+  route(std::move(request), reply, started);
+}
+
+void BifrostProxy::route(http::Request request,
+                         const http::HttpServer::Reply& reply,
+                         std::chrono::steady_clock::time_point started) {
+  auto forward =
+      std::make_shared<Forward>(route_state(), std::move(request), reply);
+  forward->started = started;
+  const RouteState& state = *forward->state;
+  const ProxyConfig& config = state.config;
+  const http::Request& incoming = forward->request;
 
   // Session identification (cookie mode).
-  std::string session_id;
-  bool new_session = false;
   if (config.mode == core::RoutingMode::kCookie && config.sticky) {
-    if (const auto cookie = request.cookie(kStickyCookie)) {
-      session_id = *cookie;
+    if (const auto cookie = incoming.cookie(kStickyCookie)) {
+      forward->session_id = *cookie;
     } else {
-      session_id = util::uuid4();
-      new_session = true;
+      forward->session_id = util::uuid4();
+      forward->new_session = true;
     }
   }
+  const std::string& session_id = forward->session_id;
 
   // Sticky lookup touches only the session's shard; the decision itself
   // runs on thread-local state.
   std::optional<std::string> pinned;
-  if (config.sticky && !session_id.empty() && !new_session) {
+  if (config.sticky && !session_id.empty() && !forward->new_session) {
     pinned = sessions_.touch(session_id);
   }
   const std::size_t decided =
-      decide_backend(config, request, pinned, thread_rng());
+      decide_backend(config, incoming, pinned, thread_rng());
 
   // Outlier ejection: an ejected version's share reroutes to
   // default_version. The session table keeps the original pin — the
@@ -397,16 +445,15 @@ http::Response BifrostProxy::handle_data(const http::Request& request) {
   std::size_t index = decided;
   {
     const auto decided_it =
-        state->by_version.find(config.backends[decided].version);
-    if (decided_it != state->by_version.end() &&
+        state.by_version.find(config.backends[decided].version);
+    if (decided_it != state.by_version.end() &&
         decided_it->second.control->health.ejected() &&
         !config.default_version.empty() &&
         config.default_version != config.backends[decided].version) {
       for (std::size_t i = 0; i < config.backends.size(); ++i) {
         if (config.backends[i].version != config.default_version) continue;
-        const auto default_it =
-            state->by_version.find(config.default_version);
-        if (default_it != state->by_version.end() &&
+        const auto default_it = state.by_version.find(config.default_version);
+        if (default_it != state.by_version.end() &&
             !default_it->second.control->health.ejected()) {
           index = i;
           decided_it->second.control->rerouted.fetch_add(
@@ -416,6 +463,7 @@ http::Response BifrostProxy::handle_data(const http::Request& request) {
       }
     }
   }
+  forward->index = index;
   const BackendTarget& backend = config.backends[index];
   if (config.sticky && !session_id.empty()) {
     // Pin the *decided* version, not the reroute target, so the
@@ -424,25 +472,29 @@ http::Response BifrostProxy::handle_data(const http::Request& request) {
     if (!pinned || *pinned != pin) sessions_.assign(session_id, pin);
   }
 
-  const auto it = state->by_version.find(backend.version);
-  const PerVersion* per_version =
-      it != state->by_version.end() ? &it->second : nullptr;
-  VersionControl* control =
-      per_version != nullptr ? per_version->control.get() : nullptr;
+  const auto it = state.by_version.find(backend.version);
+  forward->per_version = it != state.by_version.end() ? &it->second : nullptr;
+  VersionControl* control = forward->per_version != nullptr
+                                ? forward->per_version->control.get()
+                                : nullptr;
 
   // Admission control: bounded per-version concurrency. Excess live
   // requests are rejected immediately instead of queueing behind a
-  // stuck backend and pinning worker threads for the full timeout.
-  if (control != nullptr && !control->gate.try_acquire()) {
-    registry_
-        .counter("bifrost_proxy_rejected_total",
-                 {{"version", backend.version}})
-        .increment();
-    http::Response busy =
-        http::Response::text(503, "overloaded: concurrency limit reached\n");
-    busy.headers.set("Retry-After", "1");
-    busy.headers.set(kVersionHeader, backend.version);
-    return busy;
+  // stuck backend for the full timeout.
+  if (control != nullptr) {
+    if (!control->gate.try_acquire()) {
+      registry_
+          .counter("bifrost_proxy_rejected_total",
+                   {{"version", backend.version}})
+          .increment();
+      http::Response busy =
+          http::Response::text(503, "overloaded: concurrency limit reached\n");
+      busy.headers.set("Retry-After", "1");
+      busy.headers.set(kVersionHeader, backend.version);
+      reply(std::move(busy));
+      return;
+    }
+    forward->holds_gate = true;
   }
 
   // Chaos latency injection: slow this request down without erroring
@@ -451,26 +503,46 @@ http::Response BifrostProxy::handle_data(const http::Request& request) {
     const auto delay = options_.latency_injector(backend.version);
     if (delay.count() > 0) {
       injected_delays_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(delay);
+      reply.reactor().start_timer(std::chrono::steady_clock::now() + delay,
+                                  [this, forward] { send_upstream(forward); });
+      return;
     }
   }
+  send_upstream(forward);
+}
 
+void BifrostProxy::send_upstream(const std::shared_ptr<Forward>& forward) {
   // Forward to the chosen backend under its (possibly per-version)
   // deadline.
-  http::Request upstream = request;
-  upstream.headers.set("Host",
-                       backend.host + ":" + std::to_string(backend.port));
-  auto response = backend_client_.request(
-      std::move(upstream), backend.host, backend.port,
-      per_version != nullptr ? per_version->timeout
-                             : options_.backend_timeout);
-  if (control != nullptr) control->gate.release();
+  const BackendTarget& backend = forward->backend();
+  forward->request.headers.set(
+      "Host", backend.host + ":" + std::to_string(backend.port));
+  upstream_->request(
+      forward->reply.reactor(), forward->request, backend.host, backend.port,
+      forward->per_version != nullptr ? forward->per_version->timeout
+                                      : kDefaultBackendTimeout,
+      [this, forward](util::Result<http::Response> response) {
+        finish(*forward, std::move(response));
+      });
+}
 
-  fire_shadows(*state, backend.version, request);
+void BifrostProxy::finish(Forward& forward,
+                          util::Result<http::Response> response) {
+  const BackendTarget& backend = forward.backend();
+  const ProxyConfig& config = forward.state->config;
+  const PerVersion* per_version = forward.per_version;
+  VersionControl* control =
+      per_version != nullptr ? per_version->control.get() : nullptr;
+  if (forward.holds_gate) {
+    control->gate.release();
+    forward.holds_gate = false;
+  }
+
+  fire_shadows(*forward.state, backend.version, forward.request);
 
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - started)
+          std::chrono::steady_clock::now() - forward.started)
           .count();
   // Hot-path instrumentation: pointers were resolved at apply() time,
   // the sinks themselves are lock-free.
@@ -526,13 +598,16 @@ http::Response BifrostProxy::handle_data(const http::Request& request) {
         .counter("bifrost_proxy_backend_errors_total",
                  {{"version", backend.version}})
         .increment();
-    return http::Response::bad_gateway(response.error_message());
+    forward.reply(http::Response::bad_gateway(response.error_message()));
+    return;
   }
 
   http::Response out = std::move(response).value();
+  // The body was de-chunked on receipt and is re-framed by length.
+  out.headers.remove("Transfer-Encoding");
   out.headers.set(kVersionHeader, backend.version);
-  if (new_session) out.set_cookie(kStickyCookie, session_id);
-  return out;
+  if (forward.new_session) out.set_cookie(kStickyCookie, forward.session_id);
+  forward.reply(std::move(out));
 }
 
 void BifrostProxy::fire_shadows(const RouteState& state,

@@ -8,11 +8,14 @@
 //    asynchronously; their responses are discarded),
 // and exposes an admin API plus Prometheus-style /metrics.
 //
-// The data plane is built to scale with cores: the routing table is a
-// versioned immutable snapshot (readers revalidate a thread-local cache
-// against an atomic version counter), sticky sessions live in a sharded
-// LRU table, every worker thread owns its RNG, and latency is recorded
-// into lock-free histograms — no global mutex on the request path.
+// The data plane is built to scale with cores: a request is routed,
+// forwarded and answered on the reactor thread that owns its inbound
+// connection, over that thread's keep-alive upstream pool, with no
+// thread hop and no blocking call. The routing table is a versioned
+// immutable snapshot (readers revalidate a thread-local cache against an
+// atomic version counter), sticky sessions live in a sharded LRU table,
+// every reactor thread owns its RNG, and latency is recorded into
+// lock-free histograms — no global mutex on the request path.
 //
 // Overload protection (proxy/overload.hpp) keeps live traffic healthy
 // while a strategy routes users at possibly-broken versions: per-version
@@ -38,6 +41,7 @@
 
 #include "http/client.hpp"
 #include "http/server.hpp"
+#include "http/upstream.hpp"
 #include "metrics/registry.hpp"
 #include "proxy/config.hpp"
 #include "proxy/overload.hpp"
@@ -64,18 +68,20 @@ class BifrostProxy {
   struct Options {
     std::uint16_t data_port = 0;   ///< user traffic (0 = ephemeral)
     std::uint16_t admin_port = 0;  ///< engine control plane
-    std::size_t worker_threads = 16;
     std::size_t shadow_threads = 8;
+    /// Deadline of one backend exchange (connect, send, response);
+    /// per-version timeout_ms overrides it.
     std::chrono::milliseconds backend_timeout{10000};
     /// Artificial per-request processing cost. Used by the evaluation
     /// harness to emulate the paper's Node.js prototype overhead (~8 ms
-    /// per hop); 0 for the raw C++ data path.
+    /// per hop); 0 for the raw C++ data path. A reactor timer, so
+    /// concurrent requests pay it concurrently.
     std::chrono::microseconds emulation_cost{0};
     std::uint64_t rng_seed = 0;  ///< 0 = nondeterministic
     /// Maximum sticky-session table entries (per-shard LRU eviction).
     std::size_t max_sticky_sessions = 1 << 20;
     /// Sticky-session table shards (rounded up to a power of two).
-    /// More shards = less lock contention between worker threads.
+    /// More shards = less lock contention between reactor threads.
     std::size_t session_shards = 16;
     /// How long stop() lets in-flight data-plane requests finish before
     /// force-closing their connections. 0 = immediate.
@@ -94,8 +100,9 @@ class BifrostProxy {
     /// backend version about to serve it; a positive return delays the
     /// forward by that long (the request still succeeds). This is how
     /// a chaos harness drives a sim::FaultPlan kLatency schedule
-    /// against a REAL proxy instead of the simulator. Called from
-    /// worker threads — must be cheap and thread-safe. Null = off.
+    /// against a REAL proxy instead of the simulator. The delay is a
+    /// reactor timer. Called on the data server's reactor threads — must
+    /// be cheap, thread-safe and never block. Null = off.
     std::function<std::chrono::milliseconds(const std::string& version)>
         latency_injector;
   };
@@ -150,6 +157,11 @@ class BifrostProxy {
     return injected_delays_.load();
   }
   [[nodiscard]] std::size_t sticky_sessions() const;
+  /// Data-path timers (backend deadlines, injected and emulated delays)
+  /// not yet fired or cancelled; 0 once traffic has settled.
+  [[nodiscard]] std::size_t pending_timers() const {
+    return data_server_->pending_timers();
+  }
 
   // --- Overload protection / backend health ---------------------------
 
@@ -224,7 +236,18 @@ class BifrostProxy {
     std::unordered_map<std::string, PerVersion> by_version;
   };
 
-  http::Response handle_data(const http::Request& request);
+  struct Forward;
+  /// The data path, on the reactor thread that owns the connection:
+  /// route (session, sticky pin, backend decision, ejection remap,
+  /// admission; a 503 answers at once), forward (upstream exchange on
+  /// this worker's pool, after any emulated or injected delay), finish
+  /// (gate, shadows, metrics, health, the answer).
+  void handle_data(http::Request request,
+                   const http::HttpServer::Reply& reply);
+  void route(http::Request request, const http::HttpServer::Reply& reply,
+             std::chrono::steady_clock::time_point started);
+  void send_upstream(const std::shared_ptr<Forward>& forward);
+  void finish(Forward& forward, util::Result<http::Response> response);
   http::Response handle_admin(const http::Request& request);
   /// Epoch-file round trip (best-effort: a proxy that cannot persist
   /// still enforces the guard in memory for its lifetime).
@@ -241,7 +264,7 @@ class BifrostProxy {
   /// state_mutex_ is only taken on the first call after an apply().
   [[nodiscard]] std::shared_ptr<const RouteState> route_state() const;
   std::shared_ptr<const RouteState> build_state(ProxyConfig config);
-  /// This worker thread's RNG, seeded from rng_seed + a per-thread
+  /// This reactor thread's RNG, seeded from rng_seed + a per-thread
   /// stream index on first use.
   util::Rng& thread_rng() const;
 
@@ -255,10 +278,12 @@ class BifrostProxy {
   SessionTable sessions_;
   mutable std::atomic<std::uint64_t> rng_streams_{0};
 
-  http::HttpClient backend_client_;
   http::HttpClient shadow_client_;
   http::HttpClient probe_client_;
   std::unique_ptr<ShadowQueue> shadow_queue_;
+  /// The data server's per-reactor-worker upstream pools; outlives the
+  /// server, whose stop() closes the connections.
+  std::unique_ptr<http::UpstreamClient> upstream_;
   std::unique_ptr<http::HttpServer> data_server_;
   std::unique_ptr<http::HttpServer> admin_server_;
 

@@ -2,10 +2,13 @@
 // chunked decoding, timeouts, pooling, concurrent load. The server suite
 // runs twice, with handlers on the worker pool and inline on the reactor
 // threads: both must honor the same handler contract and wire behavior.
+// Reactor-thread handlers that answer later have a suite of their own.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "http/client.hpp"
 #include "http/server.hpp"
@@ -42,6 +45,11 @@ class HttpServerTest : public testing::TestWithParam<bool> {
       return res;
     }
     if (req.path() == "/boom") throw std::runtime_error("handler exploded");
+    if (req.path() == "/big") {
+      const auto size = req.query_param("size");
+      return Response::text(
+          200, std::string(std::stoull(size.value_or("0")), 'b'));
+    }
     return Response::not_found();
   }
 
@@ -183,6 +191,45 @@ TEST_P(HttpServerTest, LargeBodyRoundTrip) {
       "application/octet-stream");
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.value().body.size(), big.size());
+}
+
+TEST_P(HttpServerTest, LargeResponsesRoundTrip) {
+  // One whole response of up to kMaxBodyBytes fits the reactor's write
+  // bound: it is a large response, not a slow reader.
+  for (const std::size_t size : {std::size_t{5} << 20, kMaxBodyBytes}) {
+    auto res = client_.get("http://127.0.0.1:" +
+                           std::to_string(server_->port()) +
+                           "/big?size=" + std::to_string(size));
+    ASSERT_TRUE(res.ok()) << size << ": " << res.error_message();
+    EXPECT_EQ(res.value().status, 200);
+    EXPECT_EQ(res.value().body.size(), size);
+  }
+}
+
+TEST_P(HttpServerTest, ResponseOverTheWriteBoundClosesCleanly) {
+  // A response bigger than the write bound closes the connection. The
+  // pipelined request behind it must not be parsed out of the freed
+  // input buffer (a heap-use-after-free under ASan, inline handlers).
+  auto stream = net::TcpStream::connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(stream.value().set_io_timeout(10s).ok());
+  Request over;
+  over.target = "/big?size=" +
+                std::to_string(kMaxHeaderBytes + kMaxBodyBytes + 65536);
+  Request after;
+  after.method = "POST";
+  after.target = "/echo";
+  after.body = "after";
+  ASSERT_TRUE(stream.value().write_all(over.serialize() + after.serialize()));
+  ReadBuffer buf;
+  auto res = read_response(stream.value(), buf);
+  EXPECT_FALSE(res.ok());
+  // The server itself is unharmed.
+  auto fresh = client_.post(
+      "http://127.0.0.1:" + std::to_string(server_->port()) + "/echo", "ok",
+      "text/plain");
+  ASSERT_TRUE(fresh.ok()) << fresh.error_message();
+  EXPECT_EQ(fresh.value().body, "ok");
 }
 
 TEST_P(HttpServerTest, PipelinedRequestsAllServed) {
@@ -328,6 +375,95 @@ TEST(HttpServerIdleTest, StalledHalfSentRequestClosed) {
 
 INSTANTIATE_TEST_SUITE_P(HandlerModes, HttpServerTest,
                          testing::Values(false, true), handler_mode_name);
+
+// ---------------------------------------------------------------------------
+// ReactorHandler: answers at once or later, from the owning worker
+
+TEST(HttpServerReactorHandlerTest, AnswersAtOnceOrLaterInRequestOrder) {
+  std::mutex mutex;
+  std::vector<std::thread::id> threads;
+  const auto note = [&] {
+    const std::lock_guard<std::mutex> lock(mutex);
+    threads.push_back(std::this_thread::get_id());
+  };
+  HttpServer server(
+      HttpServer::Options{},
+      [&](Request request, const HttpServer::Reply& reply) {
+        note();
+        if (request.path() != "/later") {
+          reply(Response::text(200, "now:" + request.body));
+          return;
+        }
+        reply.reactor().start_timer(
+            std::chrono::steady_clock::now() + 30ms,
+            [&, reply, body = std::move(request.body)] {
+              note();
+              reply(Response::text(200, "later:" + body));
+            });
+      });
+  server.start();
+  auto stream = net::TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(stream.ok());
+  Request later;
+  later.method = "POST";
+  later.target = "/later";
+  later.body = "1";
+  Request now;
+  now.method = "POST";
+  now.target = "/now";
+  now.body = "2";
+  // Pipelined: the second waits behind the first, which answers later.
+  ASSERT_TRUE(stream.value().write_all(later.serialize() + now.serialize()));
+  ReadBuffer buf;
+  auto r1 = read_response(stream.value(), buf);
+  ASSERT_TRUE(r1.ok()) << r1.error_message();
+  EXPECT_EQ(r1.value().body, "later:1");
+  auto r2 = read_response(stream.value(), buf);
+  ASSERT_TRUE(r2.ok()) << r2.error_message();
+  EXPECT_EQ(r2.value().body, "now:2");
+  EXPECT_EQ(server.requests_served(), 2u);
+  EXPECT_EQ(server.pending_timers(), 0u);
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ASSERT_EQ(threads.size(), 3u);  // two handlers, one continuation
+    for (const auto& id : threads) EXPECT_EQ(id, threads.front());
+  }
+  server.stop();
+}
+
+TEST(HttpServerReactorHandlerTest, StopDrainsLateAnswersThenGivesUp) {
+  // An answer due within the drain deadline is delivered; one that never
+  // comes is cut off when the deadline passes.
+  HttpServer::Options options;
+  options.drain_timeout = 300ms;
+  HttpServer server(options, [](Request request,
+                                const HttpServer::Reply& reply) {
+    if (request.path() == "/never") return;  // dropped, never answered
+    reply.reactor().start_timer(std::chrono::steady_clock::now() + 100ms,
+                                [reply] { reply(Response::text(200, "ok")); });
+  });
+  server.start();
+  const std::string base = "http://127.0.0.1:" + std::to_string(server.port());
+  util::Result<Response> answered = util::Result<Response>::error("not sent");
+  std::thread requester([&] {
+    HttpClient client;
+    answered = client.get(base + "/soon");
+  });
+  std::thread stranded([&] {
+    HttpClient client;
+    (void)client.get(base + "/never");
+  });
+  std::this_thread::sleep_for(50ms);
+  const auto begin = std::chrono::steady_clock::now();
+  server.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  requester.join();
+  stranded.join();
+  ASSERT_TRUE(answered.ok()) << answered.error_message();
+  EXPECT_EQ(answered.value().body, "ok");
+  EXPECT_GE(elapsed, 250ms) << "stop() waits for the unanswered request";
+  EXPECT_LT(elapsed, 2s) << "...but no longer than its drain deadline";
+}
 
 TEST(HttpClientPool, DeadPooledConnectionDetectedAfterServerRestart) {
   // Warm the pool, kill the server, restart it on the same port: the

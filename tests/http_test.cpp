@@ -1,4 +1,7 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+
+#include <thread>
 
 #include "http/message.hpp"
 #include "http/parser.hpp"
@@ -376,6 +379,139 @@ TEST(IncrementalParse, BadChunkSizeIsError) {
   const auto parsed = try_parse_request(
       "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n");
   EXPECT_EQ(parsed.status, IncrementalParse::Status::kError);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental response parsing, against the blocking reader as oracle
+
+/// What read_response makes of `bytes` followed by EOF: the bytes are
+/// written into one end of a socket pair (from a thread: they may exceed
+/// the socket buffer), which is then closed.
+util::Result<Response> read_reference(const std::string& bytes) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return util::Result<Response>::error("socketpair failed");
+  }
+  net::TcpStream reader{net::FdHandle(fds[0])};
+  std::thread writer([&bytes, fd = fds[1]] {
+    net::TcpStream stream{net::FdHandle(fd)};
+    (void)stream.write_all(bytes);
+  });  // the stream closes its end when the thread finishes
+  ReadBuffer buffer;
+  auto response = read_response(reader, buffer);
+  reader.close();  // unblocks a writer stuck on a rejected oversized body
+  writer.join();
+  return response;
+}
+
+/// try_parse_response must agree with read_response on every split of
+/// `wire`: a strict prefix without EOF needs more bytes (never a
+/// verdict), and the prefix followed by EOF yields what the blocking
+/// reader yields for the same bytes and EOF.
+void expect_agrees_at_every_split(const std::string& wire) {
+  SCOPED_TRACE(wire.substr(0, 60));
+  for (std::size_t k = 0; k <= wire.size(); ++k) {
+    const std::string prefix = wire.substr(0, k);
+    if (k < wire.size()) {
+      const auto open = try_parse_response(prefix, /*at_eof=*/false);
+      EXPECT_EQ(open.status, IncrementalParse::Status::kNeedMore)
+          << "split " << k;
+    }
+    const auto closed = try_parse_response(prefix, /*at_eof=*/true);
+    const auto oracle = read_reference(prefix);
+    ASSERT_EQ(closed.status == IncrementalParse::Status::kDone, oracle.ok())
+        << "split " << k << ": " << closed.error << " vs "
+        << (oracle.ok() ? "ok" : oracle.error_message());
+    if (!oracle.ok()) continue;
+    const Response& mine = closed.response;
+    EXPECT_EQ(mine.status, oracle.value().status);
+    EXPECT_EQ(mine.version, oracle.value().version);
+    EXPECT_EQ(mine.headers.all(), oracle.value().headers.all());
+    EXPECT_EQ(mine.body, oracle.value().body);
+  }
+}
+
+const std::vector<std::string>& response_corpus() {
+  static const std::vector<std::string> corpus = {
+      "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "4\r\nWiki\r\n5;ext=1\r\npedia\r\n0\r\n\r\n",
+      "HTTP/1.0 200 OK\r\nServer: eof\r\n\r\nto-the-end",
+      "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 3\r\n\r\nbye",
+      "HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n",
+      "HTTP/1.1 200 OK\r\n\r\n",
+      "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\n"
+      "Content-Length: 4\r\n\r\nbusy",
+  };
+  return corpus;
+}
+
+TEST(IncrementalResponse, AgreesWithBlockingReaderAtEverySplit) {
+  for (const std::string& wire : response_corpus()) {
+    expect_agrees_at_every_split(wire);
+  }
+}
+
+TEST(IncrementalResponse, FramedResponsesConsumeExactlyTheirBytes) {
+  const std::string next = "HTTP/1.1 200 OK\r\n";  // a pipelined follower
+  for (const std::string& wire : response_corpus()) {
+    const auto whole = try_parse_response(wire, /*at_eof=*/false);
+    if (whole.status == IncrementalParse::Status::kNeedMore) {
+      // Delimited by EOF: complete only once the peer closes.
+      const auto at_eof = try_parse_response(wire, /*at_eof=*/true);
+      ASSERT_EQ(at_eof.status, IncrementalParse::Status::kDone) << wire;
+      EXPECT_EQ(at_eof.consumed, wire.size());
+      continue;
+    }
+    ASSERT_EQ(whole.status, IncrementalParse::Status::kDone) << wire;
+    EXPECT_EQ(whole.consumed, wire.size());
+    const auto followed = try_parse_response(wire + next, /*at_eof=*/false);
+    ASSERT_EQ(followed.status, IncrementalParse::Status::kDone) << wire;
+    EXPECT_EQ(followed.consumed, wire.size());
+    EXPECT_EQ(followed.response.body, whole.response.body);
+  }
+}
+
+TEST(IncrementalResponse, OversizedHeadsAndBodiesRejectedLikeTheReader) {
+  const std::string big_header(kMaxHeaderBytes + 1, 'h');
+  const std::vector<std::string> oversized = {
+      // Terminated head over the limit, and an unterminated flood.
+      "HTTP/1.1 200 OK\r\nX-Big: " + big_header + "\r\n\r\n",
+      "HTTP/1.1 200 OK\r\nX-Big: " + big_header,
+      // Declared bodies over the limit: by length and by chunk size.
+      "HTTP/1.1 200 OK\r\nContent-Length: " +
+          std::to_string(kMaxBodyBytes + 1) + "\r\n\r\n",
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +
+          [] {
+            char hex[32];
+            std::snprintf(hex, sizeof hex, "%zx", kMaxBodyBytes + 1);
+            return std::string(hex);
+          }() + "\r\n",
+      // A body delimited by EOF that runs past the limit.
+      "HTTP/1.0 200 OK\r\n\r\n" + std::string(kMaxBodyBytes + 1, 'b'),
+  };
+  for (const std::string& wire : oversized) {
+    SCOPED_TRACE(wire.substr(0, 40));
+    EXPECT_FALSE(read_reference(wire).ok());
+    EXPECT_EQ(try_parse_response(wire, /*at_eof=*/false).status,
+              IncrementalParse::Status::kError);
+    EXPECT_EQ(try_parse_response(wire, /*at_eof=*/true).status,
+              IncrementalParse::Status::kError);
+  }
+  // At the limit exactly, a body delimited by EOF is still accepted.
+  const std::string at_limit =
+      "HTTP/1.0 200 OK\r\n\r\n" + std::string(kMaxBodyBytes, 'b');
+  EXPECT_TRUE(read_reference(at_limit).ok());
+  const auto parsed = try_parse_response(at_limit, /*at_eof=*/true);
+  ASSERT_EQ(parsed.status, IncrementalParse::Status::kDone);
+  EXPECT_EQ(parsed.response.body.size(), kMaxBodyBytes);
+}
+
+TEST(IncrementalResponse, MalformedStatusLineIsError) {
+  EXPECT_EQ(try_parse_response("HTTP/1.1 abc OK\r\n\r\n", false).status,
+            IncrementalParse::Status::kError);
+  EXPECT_EQ(try_parse_response("", /*at_eof=*/true).status,
+            IncrementalParse::Status::kError);
 }
 
 }  // namespace

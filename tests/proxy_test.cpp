@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "http/client.hpp"
+#include "http/parser.hpp"
 #include "http/server.hpp"
 #include "json/json.hpp"
+#include "net/tcp.hpp"
 #include "proxy/proxy.hpp"
 #include "proxy/session_table.hpp"
 
@@ -941,6 +944,249 @@ TEST_F(LiveProxyTest, AdminHealthAndEpochOverHttp) {
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc.value().get_number("configEpoch", -1), 3.0);
   EXPECT_EQ(doc.value().get_number("duplicateEpochs", -1), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Forwarding on the reactor
+
+ProxyConfig single_backend(const std::string& version, std::uint16_t port) {
+  ProxyConfig config;
+  config.service = "search";
+  config.backends = {
+      BackendTarget{version, "127.0.0.1", port, 100.0, "", ""}};
+  return config;
+}
+
+/// A scripted upstream: for each connection in `script`, accepts it and
+/// answers the given number of requests with the given raw replies, then
+/// closes it. A reply of "" reads the request and closes unanswered.
+class RawBackend {
+ public:
+  explicit RawBackend(std::vector<std::vector<std::string>> script)
+      : listener_(std::move(net::TcpListener::bind(0)).value()) {
+    thread_ = std::thread([this, script = std::move(script)] {
+      for (const auto& replies : script) {
+        auto conn = listener_.accept();
+        if (!conn.ok()) return;
+        accepted_.fetch_add(1);
+        http::ReadBuffer buffer;
+        for (const std::string& reply : replies) {
+          if (!http::read_request(conn.value(), buffer).ok()) break;
+          if (reply.empty()) break;
+          (void)conn.value().write_all(reply);
+        }
+      }
+    });
+  }
+  ~RawBackend() {
+    listener_.close();
+    thread_.join();
+  }
+  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+  [[nodiscard]] int accepted() const { return accepted_.load(); }
+
+ private:
+  net::TcpListener listener_;
+  std::atomic<int> accepted_{0};
+  std::thread thread_;
+};
+
+TEST_F(LiveProxyTest, LargeResponsesRelayedWhole) {
+  http::HttpServer big(http::HttpServer::Options{},
+                       [](const http::Request& req) {
+                         return http::Response::text(
+                             200, std::string(std::stoull(req.query_param(
+                                                               "size")
+                                                               .value_or("0")),
+                                              'b'));
+                       });
+  big.start();
+  auto proxy = make_proxy(single_backend("v1", big.port()));
+  for (const std::size_t size : {std::size_t{5} << 20, http::kMaxBodyBytes}) {
+    auto res = client_.get("http://127.0.0.1:" +
+                           std::to_string(proxy->data_port()) +
+                           "/big?size=" + std::to_string(size));
+    ASSERT_TRUE(res.ok()) << size << ": " << res.error_message();
+    EXPECT_EQ(res.value().status, 200);
+    EXPECT_EQ(res.value().body.size(), size);
+    EXPECT_EQ(res.value().headers.get(kVersionHeader), "v1");
+  }
+  big.stop();
+}
+
+TEST_F(LiveProxyTest, SlowRequestsNeverStallFastOnes) {
+  // Eight requests held by a 1 s backend, each on its own connection:
+  // with the data server's two reactor workers, both own slow requests.
+  // Any blocking call left on a reactor thread would stall every fast
+  // request behind them.
+  std::atomic<int> slow_inflight{0};
+  http::HttpServer::Options slow_options;
+  slow_options.worker_threads = 8;
+  http::HttpServer slow(slow_options, [&](const http::Request&) {
+    slow_inflight.fetch_add(1);
+    std::this_thread::sleep_for(1s);
+    return http::Response::text(200, "slow");
+  });
+  slow.start();
+  ProxyConfig config;
+  config.service = "search";
+  config.mode = core::RoutingMode::kHeader;
+  config.backends = {
+      BackendTarget{"fast", "127.0.0.1", backends_[0]->port(), 0.0, "", ""},
+      BackendTarget{"slow", "127.0.0.1", slow.port(), 0.0, "X-Lane", "slow"},
+  };
+  auto proxy = make_proxy(std::move(config));
+
+  constexpr int kSlow = 8;
+  std::atomic<int> slow_ok{0};
+  std::vector<std::thread> holders;
+  for (int i = 0; i < kSlow; ++i) {
+    holders.emplace_back([&] {
+      http::HttpClient client;
+      http::Request request;
+      request.headers.set("X-Lane", "slow");
+      auto res = client.request(std::move(request), "127.0.0.1",
+                                proxy->data_port());
+      if (res.ok() && res.value().body == "slow") slow_ok.fetch_add(1);
+    });
+  }
+  for (int i = 0; i < 200 && slow_inflight.load() < kSlow; ++i) {
+    std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_EQ(slow_inflight.load(), kSlow);
+
+  const std::string url =
+      "http://127.0.0.1:" + std::to_string(proxy->data_port()) + "/";
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  for (int i = 0; i < 100; ++i) {
+    http::HttpClient client;  // a new connection each: both workers serve
+    const auto begin = std::chrono::steady_clock::now();
+    auto res = client.get(url);
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - begin);
+    ASSERT_TRUE(res.ok()) << res.error_message();
+    EXPECT_EQ(res.value().body, "stable");
+  }
+  EXPECT_LT(slowest, 50ms);
+  EXPECT_GT(slow_inflight.load(), 0);
+  for (auto& holder : holders) holder.join();
+  EXPECT_EQ(slow_ok.load(), kSlow);
+  slow.stop();
+}
+
+TEST_F(LiveProxyTest, BackendRestartBetweenRequestsGivesNo502) {
+  auto backend = std::make_unique<http::HttpServer>(
+      http::HttpServer::Options{},
+      [](const http::Request&) { return http::Response::text(200, "a"); });
+  backend->start();
+  const std::uint16_t port = backend->port();
+  auto proxy = make_proxy(single_backend("v1", port));
+  const std::string url =
+      "http://127.0.0.1:" + std::to_string(proxy->data_port()) + "/";
+  auto first = client_.get(url);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().body, "a");
+  backend->stop();  // the proxy's pooled upstream connection dies
+  backend.reset();
+  http::HttpServer::Options options;
+  options.port = port;
+  http::HttpServer restarted(
+      options,
+      [](const http::Request&) { return http::Response::text(200, "b"); });
+  restarted.start();
+  auto second = client_.get(url);
+  ASSERT_TRUE(second.ok()) << second.error_message();
+  EXPECT_EQ(second.value().status, 200);
+  EXPECT_EQ(second.value().body, "b");
+  EXPECT_EQ(proxy->backend_errors(), 0u);
+  restarted.stop();
+}
+
+TEST_F(LiveProxyTest, StaleUpstreamConnectionRetriedOnce) {
+  // The first connection serves one request, then reads the second and
+  // closes without a byte of response: the proxy must resend it once on
+  // a fresh connection instead of answering 502.
+  RawBackend backend({
+      {"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirst", ""},
+      {"HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\nsecond"},
+  });
+  auto proxy = make_proxy(single_backend("v1", backend.port()));
+  const std::string url =
+      "http://127.0.0.1:" + std::to_string(proxy->data_port()) + "/";
+  auto first = client_.get(url);
+  ASSERT_TRUE(first.ok()) << first.error_message();
+  EXPECT_EQ(first.value().body, "first");
+  auto second = client_.get(url);
+  ASSERT_TRUE(second.ok()) << second.error_message();
+  EXPECT_EQ(second.value().status, 200);
+  EXPECT_EQ(second.value().body, "second");
+  EXPECT_EQ(backend.accepted(), 2);
+  EXPECT_EQ(proxy->backend_errors(), 0u);
+}
+
+TEST_F(LiveProxyTest, ChunkedAndEofDelimitedUpstreamsRelayedByLength) {
+  RawBackend backend({
+      {"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+       "4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\n"},
+      {"HTTP/1.0 200 OK\r\n\r\nto-the-end"},
+  });
+  auto proxy = make_proxy(single_backend("v1", backend.port()));
+  const std::string url =
+      "http://127.0.0.1:" + std::to_string(proxy->data_port()) + "/";
+  auto chunked = client_.get(url);
+  ASSERT_TRUE(chunked.ok()) << chunked.error_message();
+  EXPECT_EQ(chunked.value().body, "Wikipedia");
+  EXPECT_FALSE(chunked.value().headers.has("Transfer-Encoding"));
+  auto to_eof = client_.get(url);
+  ASSERT_TRUE(to_eof.ok()) << to_eof.error_message();
+  EXPECT_EQ(to_eof.value().body, "to-the-end");
+}
+
+TEST_F(LiveProxyTest, NoDeadlineTimerLeftPendingAfterTraffic) {
+  // Every exchange arms a deadline timer; completion must cancel it, or
+  // a busy proxy accumulates one per request for the whole timeout.
+  http::HttpServer::Options sleepy_options;
+  sleepy_options.worker_threads = 2;
+  http::HttpServer sleepy(sleepy_options, [](const http::Request&) {
+    std::this_thread::sleep_for(200ms);
+    return http::Response::text(200, "late");
+  });
+  sleepy.start();
+  ProxyConfig config = config_with(50.0);
+  config.backends.push_back(
+      BackendTarget{"sleepy", "127.0.0.1", sleepy.port(), 0.0, "", ""});
+  config.backends.back().timeout_ms = 50;
+  config.backends[0].percent = 40.0;
+  config.backends[1].percent = 40.0;
+  config.backends[2].percent = 20.0;
+  BifrostProxy::Options options;
+  options.rng_seed = 5;
+  options.emulation_cost = 1ms;
+  options.latency_injector = [](const std::string& version) {
+    return version == "canary" ? 2ms : 0ms;
+  };
+  BifrostProxy proxy(options, std::move(config));
+  proxy.start();
+  const std::string url =
+      "http://127.0.0.1:" + std::to_string(proxy.data_port()) + "/";
+  std::atomic<int> timeouts{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&] {
+      http::HttpClient client;
+      for (int i = 0; i < 25; ++i) {
+        auto res = client.get(url);
+        if (res.ok() && res.value().status == 502) timeouts.fetch_add(1);
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  EXPECT_GT(timeouts.load(), 0);
+  EXPECT_GT(proxy.injected_delays(), 0u);
+  EXPECT_EQ(proxy.timeouts_for("sleepy"),
+            static_cast<std::uint64_t>(timeouts.load()));
+  EXPECT_EQ(proxy.pending_timers(), 0u);
+  proxy.stop();
+  sleepy.stop();
 }
 
 // ---------------------------------------------------------------------------
